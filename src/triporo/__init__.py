@@ -10,34 +10,31 @@ it with the Gaver-Stehfest algorithm.
 from .curves import (CurvePoint, bourdet_derivative, log_time_grid,
                      pressure_curve, read_curve, write_curve)
 from .inversion import (StehfestScheme, TransformEvaluationError, invert,
-                        invert_curve, invert_mp, stehfest_weights)
+                        invert_mp, stehfest_weights)
 from .model import (ConsistencyError, DimensionlessTransform, LaplaceAssembly,
                     MTerms, NullSpaceError, PhysicalParams,
                     SingularBoundaryError, TriplePorosityParams,
                     boundary_vectors, characteristic_coefficients,
                     field_pressure_laplace, from_dimensionless,
                     laplace_assembly, m_terms, modal_coefficients,
-                    modal_coefficients_closed_form,
                     single_medium_pressure_laplace, solve_boundary,
                     to_dimensionless, wellbore_pressure_laplace)
 from .roots import (AlphaRoots, CubicCoefficients, RootClassificationError,
                     alpha_roots, solve_cubic_real)
-from .specfun import (BesselEval, bessel_k0, bessel_k0_scaled, bessel_k1,
-                      bessel_k1_scaled, k0_eval, k1_eval)
+from .specfun import bessel_k0, bessel_k0_scaled, bessel_k1, bessel_k1_scaled
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaRoots", "BesselEval", "ConsistencyError", "CubicCoefficients",
-    "CurvePoint", "DimensionlessTransform", "LaplaceAssembly", "MTerms",
-    "NullSpaceError", "PhysicalParams", "RootClassificationError",
-    "SingularBoundaryError", "StehfestScheme", "TransformEvaluationError",
-    "TriplePorosityParams", "alpha_roots", "bessel_k0", "bessel_k0_scaled",
-    "bessel_k1", "bessel_k1_scaled", "boundary_vectors", "bourdet_derivative",
+    "AlphaRoots", "ConsistencyError", "CubicCoefficients", "CurvePoint",
+    "DimensionlessTransform", "LaplaceAssembly", "MTerms", "NullSpaceError",
+    "PhysicalParams", "RootClassificationError", "SingularBoundaryError",
+    "StehfestScheme", "TransformEvaluationError", "TriplePorosityParams",
+    "alpha_roots", "bessel_k0", "bessel_k0_scaled", "bessel_k1",
+    "bessel_k1_scaled", "boundary_vectors", "bourdet_derivative",
     "characteristic_coefficients", "field_pressure_laplace",
-    "from_dimensionless", "invert", "invert_curve", "invert_mp", "k0_eval",
-    "k1_eval", "laplace_assembly", "log_time_grid", "m_terms",
-    "modal_coefficients", "modal_coefficients_closed_form", "pressure_curve",
+    "from_dimensionless", "invert", "invert_mp", "laplace_assembly",
+    "log_time_grid", "m_terms", "modal_coefficients", "pressure_curve",
     "read_curve", "single_medium_pressure_laplace", "solve_boundary",
     "solve_cubic_real", "stehfest_weights", "to_dimensionless",
     "wellbore_pressure_laplace", "write_curve",

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 configuration error, 2 model error, 3 I/O error.
 
 import argparse
 import configparser
+import math
 import sys
 import time
 from pathlib import Path
@@ -71,6 +72,13 @@ def _get_float(cfg, section: str, key: str, default=None) -> float:
         raise ConfigError(f"key {key!r} in [{section}] is not a number: {raw!r}") from exc
 
 
+def _get_int(cfg, section: str, key: str, default: int) -> int:
+    value = _get_float(cfg, section, key, default)
+    if not (math.isfinite(value) and value == int(value)):
+        raise ConfigError(f"key {key!r} in [{section}] must be an integer, got {value!r}")
+    return int(value)
+
+
 def _betas(cfg, section: str) -> tuple[float, float, float]:
     return (_get_float(cfg, section, "beta_m", 1.0),
             _get_float(cfg, section, "beta_f", 1.0),
@@ -108,11 +116,11 @@ def _build_physical(cfg) -> PhysicalParams:
 
 
 def _build_grid(cfg) -> list[float]:
-    t_min = _get_float(cfg, "grid", "t_min", 1e-2) if cfg.has_section("grid") else 1e-2
-    t_max = _get_float(cfg, "grid", "t_max", 1e8) if cfg.has_section("grid") else 1e8
-    ppd = _get_float(cfg, "grid", "points_per_decade", 10) if cfg.has_section("grid") else 10
+    t_min = _get_float(cfg, "grid", "t_min", 1e-2)
+    t_max = _get_float(cfg, "grid", "t_max", 1e8)
+    ppd = _get_int(cfg, "grid", "points_per_decade", 10)
     try:
-        return log_time_grid(t_min, t_max, int(ppd))
+        return log_time_grid(t_min, t_max, ppd)
     except ValueError as exc:
         raise ConfigError(f"invalid [grid]: {exc}") from exc
 
@@ -120,10 +128,8 @@ def _build_grid(cfg) -> list[float]:
 def _build_scheme(cfg, args) -> StehfestScheme:
     if args.stehfest_n is not None:
         n = args.stehfest_n
-    elif cfg.has_section("inversion"):
-        n = int(_get_float(cfg, "inversion", "stehfest_n", 12))
     else:
-        n = 12
+        n = _get_int(cfg, "inversion", "stehfest_n", 12)
     try:
         return StehfestScheme.of_order(n)
     except ValueError as exc:
@@ -133,7 +139,7 @@ def _build_scheme(cfg, args) -> StehfestScheme:
 def _out_path(cfg, args, command: str, fmt: str) -> Path:
     if args.out:
         return Path(args.out)
-    if cfg.has_section("output") and cfg.has_option("output", "path"):
+    if cfg.has_option("output", "path"):
         return Path(cfg.get("output", "path"))
     return Path(f"{command}.{fmt}")
 
@@ -141,7 +147,7 @@ def _out_path(cfg, args, command: str, fmt: str) -> Path:
 def _out_format(cfg, args) -> str:
     if args.format:
         fmt = args.format
-    elif cfg.has_section("output") and cfg.has_option("output", "format"):
+    elif cfg.has_option("output", "format"):
         fmt = cfg.get("output", "format")
     else:
         fmt = "csv"
@@ -171,7 +177,7 @@ def cmd_curve(args) -> int:
 
 
 def _sweep_triples(cfg) -> list[tuple[float, float, float]]:
-    if not (cfg.has_section("sweep") and cfg.has_option("sweep", "triples")):
+    if not cfg.has_option("sweep", "triples"):
         raise ConfigError("missing required key 'triples' in [sweep]")
     triples = []
     for line in cfg.get("sweep", "triples").splitlines():
@@ -218,7 +224,7 @@ def cmd_sweep(args) -> int:
 
 
 def _u_grid(cfg) -> list[float]:
-    if cfg.has_section("laplace") and cfg.has_option("laplace", "u_values"):
+    if cfg.has_option("laplace", "u_values"):
         raw = cfg.get("laplace", "u_values").split()
         try:
             us = [float(v) for v in raw]
@@ -227,7 +233,7 @@ def _u_grid(cfg) -> list[float]:
     elif cfg.has_section("laplace"):
         u_min = _get_float(cfg, "laplace", "u_min")
         u_max = _get_float(cfg, "laplace", "u_max")
-        ppd = int(_get_float(cfg, "laplace", "points_per_decade", 10))
+        ppd = _get_int(cfg, "laplace", "points_per_decade", 10)
         try:
             us = log_time_grid(u_min, u_max, ppd)
         except ValueError as exc:
@@ -235,8 +241,9 @@ def _u_grid(cfg) -> list[float]:
     else:
         raise ConfigError("laplace command needs a [laplace] section "
                           "(u_values or u_min/u_max)")
-    if any(u <= 0.0 for u in us):
-        raise ConfigError(f"u grid must be positive, got {[u for u in us if u <= 0.0]}")
+    bad = [u for u in us if not (math.isfinite(u) and u > 0.0)]
+    if bad:
+        raise ConfigError(f"u grid must be positive and finite, got {bad}")
     return us
 
 

@@ -81,7 +81,20 @@ def bourdet_derivative(grid, values, smoothing_l: float = 0.0) -> list[float]:
 
 def pressure_curve(p: TriplePorosityParams, grid, scheme: StehfestScheme,
                    smoothing_l: float = 0.0) -> list[CurvePoint]:
-    """Invert the wellbore pressure on the grid and attach the derivative."""
+    """Invert the wellbore pressure on the grid and attach the derivative.
+
+    The grid must be non-empty, positive, finite and strictly increasing;
+    a bad grid raises ValueError before any inversion runs.
+    """
+    grid = [float(t) for t in grid]
+    if not grid:
+        raise ValueError("time grid is empty")
+    if not (grid[0] > 0.0 and math.isfinite(grid[-1])):
+        raise ValueError(f"time grid must be positive and finite, spans "
+                         f"{grid[0]!r} -> {grid[-1]!r}")
+    for a, b in zip(grid, grid[1:]):
+        if not b > a:
+            raise ValueError(f"time grid must be strictly increasing ({a!r} -> {b!r})")
     values = []
     for t in grid:
         try:
@@ -89,10 +102,10 @@ def pressure_curve(p: TriplePorosityParams, grid, scheme: StehfestScheme,
         except Exception as exc:
             raise CurveError(f"curve evaluation failed at t_D={t!r}: {exc}") from exc
     if len(grid) >= 3:
-        derivs = bourdet_derivative(list(grid), values, smoothing_l)
+        derivs = bourdet_derivative(grid, values, smoothing_l)
     else:
         derivs = [None] * len(values)
-    return [CurvePoint(t_D=float(t), p_w=v, dp_w_dlnt=d)
+    return [CurvePoint(t_D=t, p_w=v, dp_w_dlnt=d)
             for t, v, d in zip(grid, values, derivs)]
 
 

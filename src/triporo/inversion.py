@@ -161,15 +161,3 @@ def invert_mp(transform, t: float, scheme: StehfestScheme) -> float:
             acc += mpmath.mpf(w.numerator) / w.denominator * f
         return float(ratio * acc)
 
-
-def invert_curve(transform, t_grid, scheme: StehfestScheme) -> list[float]:
-    """Pointwise inversion on a strictly increasing positive time grid."""
-    grid = [float(t) for t in t_grid]
-    if not grid:
-        raise ValueError("time grid is empty")
-    if grid[0] <= 0.0:
-        raise ValueError(f"time grid must be positive, starts at {grid[0]!r}")
-    for a, b in zip(grid, grid[1:]):
-        if b <= a:
-            raise ValueError(f"time grid must be strictly increasing ({a!r} -> {b!r})")
-    return [invert(transform, t, scheme) for t in grid]

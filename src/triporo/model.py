@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .roots import AlphaRoots, CubicCoefficients, alpha_roots
-from .specfun import (bessel_k0, bessel_k0_scaled, bessel_k1,
-                      bessel_k1_scaled)
+from .specfun import bessel_k0_scaled, bessel_k1_scaled
 
 #: det(boundary matrix) below SINGULAR_TOL times the magnitude of its own
 #: six expansion terms means the boundary system cannot be solved.
@@ -304,43 +303,19 @@ def modal_coefficients(alpha_i: float, m: MTerms, kappa_m: float,
     return _modal_from_x(alpha_i * alpha_i, m, kappa_m, kappa_f, kappa_v)
 
 
-def modal_coefficients_closed_form(alpha_i: float, m: MTerms, kappa_m: float,
-                                   kappa_f: float) -> tuple[float, float]:
-    """(A_i, B_i) from the explicit two-equation elimination.
-
-    Cross-check path only: divides by m2 and by a 2x2 minor, either of
-    which can vanish for admissible parameters; the null-space route is
-    the canonical computation.
-    """
-    x = alpha_i * alpha_i
-    d11 = kappa_m * x - m.m1
-    d22 = kappa_f * x - m.m4
-    den = m.m2 * m.m2 - d11 * d22
-    if den == 0.0:
-        raise ZeroDivisionError("closed-form modal denominator vanishes")
-    a = (m.m3 * d22 - m.m2 * m.m5) / den
-    if m.m2 == 0.0:
-        raise ZeroDivisionError("closed-form B is undefined for lambda_mf = 0")
-    b = (-m.m3 - a * d11) / m.m2
-    return a, b
-
-
 def boundary_vectors(alpha, A, B, kappa_m: float, kappa_f: float,
-                     kappa_v: float, scaled: bool = False):
-    """Boundary-system rows (P, Q, R) and the modal totals E.
+                     kappa_v: float):
+    """Scaled boundary-system rows (P, Q, R) and the modal totals E.
 
-    P_i = alpha_i K1(alpha_i) E_i with E_i = kappa_m A_i + kappa_f B_i +
-    kappa_v; Q_i = (A_i - 1) K0(alpha_i); R_i = (B_i - 1) K0(alpha_i).
-    With ``scaled`` the Bessel factors are e^{alpha_i}-scaled, i.e. row
-    entry i carries an implicit e^{-alpha_i}.
+    P_i = alpha_i K1e(alpha_i) E_i with E_i = kappa_m A_i + kappa_f B_i +
+    kappa_v; Q_i = (A_i - 1) K0e(alpha_i); R_i = (B_i - 1) K0e(alpha_i),
+    where K0e and K1e are the e^{alpha_i}-scaled Bessel functions, so row
+    entry i carries an implicit e^{-alpha_i}.  The unscaled rows underflow
+    once alpha_i exceeds ~740 and are not formed.
     """
     E = tuple(kappa_m * A[i] + kappa_f * B[i] + kappa_v for i in range(3))
-    if scaled:
-        k0v = [bessel_k0_scaled(a) for a in alpha]
-        k1v = [bessel_k1_scaled(a) for a in alpha]
-    else:
-        k0v = [bessel_k0(a) for a in alpha]
-        k1v = [bessel_k1(a) for a in alpha]
+    k0v = [bessel_k0_scaled(a) for a in alpha]
+    k1v = [bessel_k1_scaled(a) for a in alpha]
     P = tuple(alpha[i] * k1v[i] * E[i] for i in range(3))
     Q = tuple((A[i] - 1.0) * k0v[i] for i in range(3))
     R = tuple((B[i] - 1.0) * k0v[i] for i in range(3))
@@ -390,9 +365,9 @@ class LaplaceAssembly:
     The stored boundary rows and weights are the scaled representation:
     row entry i carries an implicit factor e^{-alpha_i} and the weight
     D_scaled_i an implicit e^{+alpha_i}, so inner products such as
-    P_scaled . D_scaled equal their unscaled counterparts exactly.  The
-    unscaled P, Q, R, D properties are provided for moderate alpha;
-    unscaled K0/K1 underflow (and D overflows) once alpha exceeds ~700.
+    P_scaled . D_scaled equal their unscaled counterparts exactly.  Only
+    the weights have an unscaled view, D, for output; it overflows to
+    +-inf once alpha_i + ln|D_scaled_i| exceeds ~709.
     """
 
     u: float
@@ -405,18 +380,6 @@ class LaplaceAssembly:
     Q_scaled: tuple[float, float, float]
     R_scaled: tuple[float, float, float]
     D_scaled: tuple[float, float, float]
-
-    @property
-    def P(self) -> tuple[float, float, float]:
-        return tuple(p * math.exp(-a) for p, a in zip(self.P_scaled, self.alpha.alpha))
-
-    @property
-    def Q(self) -> tuple[float, float, float]:
-        return tuple(q * math.exp(-a) for q, a in zip(self.Q_scaled, self.alpha.alpha))
-
-    @property
-    def R(self) -> tuple[float, float, float]:
-        return tuple(r * math.exp(-a) for r, a in zip(self.R_scaled, self.alpha.alpha))
 
     @property
     def D(self) -> tuple[float, float, float]:
@@ -444,7 +407,7 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     ab = [_modal_from_x(x, m, km, kf, kv) for x in xs]
     A = tuple(v[0] for v in ab)
     B = tuple(v[1] for v in ab)
-    P, Q, R, E = boundary_vectors(alphas.alpha, A, B, km, kf, kv, scaled=True)
+    P, Q, R, E = boundary_vectors(alphas.alpha, A, B, km, kf, kv)
     try:
         D = solve_boundary(P, Q, R, u)
     except SingularBoundaryError as exc:

@@ -7,13 +7,8 @@ underflow to zero near x ~ 740.
 """
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import k0 as _k0, k0e as _k0e, k1 as _k1, k1e as _k1e
-
-# Largest argument for which e^{-x} is a normal double; beyond it the
-# unscaled K_nu are flushed to zero and only the scaled form is usable.
-UNSCALED_MAX = 700.0
 
 
 def _check_arg(x: float) -> float:
@@ -21,14 +16,6 @@ def _check_arg(x: float) -> float:
     if math.isnan(x) or math.isinf(x) or x <= 0.0:
         raise ValueError(f"Bessel argument must be a positive finite real, got {x!r}")
     return x
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """A K_nu evaluation; ``scaled`` marks the value as e^x * K_nu(x)."""
-
-    value: float
-    scaled: bool
 
 
 def bessel_k0(x: float) -> float:
@@ -50,18 +37,3 @@ def bessel_k1_scaled(x: float) -> float:
     """e^x * K_1(x), finite for all representable x > 0."""
     return float(_k1e(_check_arg(x)))
 
-
-def k0_eval(x: float) -> BesselEval:
-    """K_0 evaluated unscaled where representable, scaled otherwise."""
-    x = _check_arg(x)
-    if x > UNSCALED_MAX:
-        return BesselEval(float(_k0e(x)), True)
-    return BesselEval(float(_k0(x)), False)
-
-
-def k1_eval(x: float) -> BesselEval:
-    """K_1 evaluated unscaled where representable, scaled otherwise."""
-    x = _check_arg(x)
-    if x > UNSCALED_MAX:
-        return BesselEval(float(_k1e(x)), True)
-    return BesselEval(float(_k1(x)), False)

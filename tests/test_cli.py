@@ -126,6 +126,26 @@ def test_bad_stehfest_order(tmp_path):
                  "--stehfest-n", "13"]) == 1
 
 
+def test_integer_keys_must_be_integers(tmp_path, capsys):
+    cases = (("curve", SMALL_RUN.replace("points_per_decade = 3", "points_per_decade = 2.5")),
+             ("curve", SMALL_RUN.replace("stehfest_n = 8", "stehfest_n = 12.7")),
+             ("curve", SMALL_RUN.replace("stehfest_n = 8", "stehfest_n = inf")),
+             ("laplace", "[laplace]\nu_min = 0.1\nu_max = 10\npoints_per_decade = nan\n"))
+    for command, run in cases:
+        cfg = write_cfg(tmp_path, MODEL_BLOCK + run)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be an integer" in err
+    # An integral value written as a float is the same run.
+    outs = []
+    for n in ("8", "8.0"):
+        cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN.replace("stehfest_n = 8",
+                                                                   f"stehfest_n = {n}"))
+        outs.append(tmp_path / f"n{n}.csv")
+        assert main(["curve", "--config", cfg, "--out", str(outs[-1]), "--quiet"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN)
     out = tmp_path / "missing-dir" / "c.csv"
@@ -210,9 +230,12 @@ def test_laplace_single_u(tmp_path):
                                  for i in range(3))
 
 
-def test_laplace_rejects_nonpositive_u(tmp_path):
-    cfg = write_cfg(tmp_path, MODEL_BLOCK + "\n[laplace]\nu_values = 1.0 -2.0\n")
-    assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 1
+def test_laplace_rejects_nonpositive_u(tmp_path, capsys):
+    for bad in ("-2.0", "nan", "inf"):
+        cfg = write_cfg(tmp_path, MODEL_BLOCK + f"\n[laplace]\nu_values = 1.0 {bad}\n")
+        assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
 
 
 def test_laplace_grid_form(tmp_path):

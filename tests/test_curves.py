@@ -138,6 +138,20 @@ def test_pressure_curve_error_context(ref_params, monkeypatch):
         pressure_curve(ref_params, [1.0, 10.0, 100.0], StehfestScheme.of_order(8))
 
 
+def test_pressure_curve_grid_validation(ref_params, monkeypatch):
+    # A bad grid is refused before the transform is evaluated once.
+    import triporo.curves as curves_mod
+
+    def never(p, u):
+        raise AssertionError("transform evaluated on a bad grid")
+
+    monkeypatch.setattr(curves_mod, "wellbore_pressure_laplace", never)
+    s = StehfestScheme.of_order(8)
+    for grid in ([], [1.0, 1.0], [-1.0, 2.0], [10.0, 1.0], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="time grid"):
+            pressure_curve(ref_params, grid, s)
+
+
 def test_short_grid_has_no_derivative(ref_params):
     pts = pressure_curve(ref_params, [1.0, 10.0], StehfestScheme.of_order(8))
     assert [p.dp_w_dlnt for p in pts] == [None, None]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from triporo.inversion import (StehfestScheme, TransformEvaluationError,
-                               invert, invert_curve, invert_mp,
+                               invert, invert_mp,
                                stehfest_weights, stehfest_weights_exact)
 from triporo.model import TriplePorosityParams, wellbore_pressure_laplace
 
@@ -154,32 +154,16 @@ def test_evaluator_errors_carry_u():
 def test_invert_curve_constant():
     s = StehfestScheme.of_order(12)
     grid = list(np.logspace(-1, 2, 16))
-    vals = invert_curve(lambda u: 1.0 / u, grid, s)
+    vals = [invert(lambda u: 1.0 / u, t, s) for t in grid]
     assert vals == pytest.approx([1.0] * len(grid), abs=5e-10)
-
-
-def test_invert_curve_single_point_matches_invert():
-    s = StehfestScheme.of_order(12)
-    F = lambda u: 1.0 / (u + 1.0)
-    assert invert_curve(F, [0.7], s) == [invert(F, 0.7, s)]
 
 
 def test_invert_curve_fractional_pair():
     s = StehfestScheme.of_order(14)
     grid = [float(t) for t in np.logspace(-1, 1, 20)]
-    vals = invert_curve(lambda u: u**-1.5, grid, s)
+    vals = [invert(lambda u: u**-1.5, t, s) for t in grid]
     for t, v in zip(grid, vals):
         assert v == pytest.approx(math.sqrt(t) / math.gamma(1.5), rel=1e-3)
-
-
-def test_invert_curve_grid_validation():
-    s = StehfestScheme.of_order(8)
-    with pytest.raises(ValueError):
-        invert_curve(lambda u: 1.0 / u, [], s)
-    with pytest.raises(ValueError):
-        invert_curve(lambda u: 1.0 / u, [1.0, 1.0], s)
-    with pytest.raises(ValueError):
-        invert_curve(lambda u: 1.0 / u, [-1.0, 2.0], s)
 
 
 def test_invert_mp_agrees_with_invert_at_low_order():

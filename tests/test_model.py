@@ -8,11 +8,11 @@ from triporo.model import (ConsistencyError, NullSpaceError, PhysicalParams,
                            boundary_vectors, characteristic_coefficients,
                            field_pressure_laplace, from_dimensionless,
                            laplace_assembly, m_terms, modal_coefficients,
-                           modal_coefficients_closed_form,
                            single_medium_pressure_laplace, solve_boundary,
                            to_dimensionless, wellbore_pressure_laplace)
 from triporo.roots import solve_cubic_real
-from triporo.specfun import bessel_k0, bessel_k0_scaled, bessel_k1
+from triporo.specfun import (bessel_k0, bessel_k0_scaled, bessel_k1,
+                             bessel_k1_scaled)
 
 COLLAPSED = TriplePorosityParams(1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
 
@@ -119,6 +119,25 @@ def test_modal_null_space_residual_componentwise(ref_params):
             assert abs(resid[j]) <= 1e-8 * np.linalg.norm(M[j]) * np.linalg.norm(vec)
 
 
+def modal_coefficients_closed_form(alpha_i, m, kappa_m, kappa_f):
+    """(A_i, B_i) from the explicit two-equation elimination.
+
+    Oracle for the null-space route: it divides by m2 and by a 2x2 minor,
+    either of which can vanish for admissible parameters.
+    """
+    x = alpha_i * alpha_i
+    d11 = kappa_m * x - m.m1
+    d22 = kappa_f * x - m.m4
+    den = m.m2 * m.m2 - d11 * d22
+    if den == 0.0:
+        raise ZeroDivisionError("closed-form modal denominator vanishes")
+    a = (m.m3 * d22 - m.m2 * m.m5) / den
+    if m.m2 == 0.0:
+        raise ZeroDivisionError("closed-form B is undefined for lambda_mf = 0")
+    b = (-m.m3 - a * d11) / m.m2
+    return a, b
+
+
 def test_modal_closed_form_cross_check(ref_params):
     # The explicit elimination (with the squared m2 in the denominator)
     # agrees with the null-space route wherever its 2x2 minor is not
@@ -183,9 +202,10 @@ def test_boundary_vectors_definitions(ref_params):
     assert Q[0] == 0.0  # A_1 = 1 exactly
     for i in range(3):
         assert E[i] == pytest.approx(km * A[i] + kf * B[i] + kv, rel=1e-15)
-        assert P[i] == pytest.approx(alpha[i] * bessel_k1(alpha[i]) * E[i], rel=1e-14)
-        assert Q[i] == pytest.approx((A[i] - 1.0) * bessel_k0(alpha[i]), rel=1e-14)
-        assert R[i] == pytest.approx((B[i] - 1.0) * bessel_k0(alpha[i]), rel=1e-14)
+        assert P[i] == pytest.approx(alpha[i] * bessel_k1_scaled(alpha[i]) * E[i],
+                                     rel=1e-14)
+        assert Q[i] == pytest.approx((A[i] - 1.0) * bessel_k0_scaled(alpha[i]), rel=1e-14)
+        assert R[i] == pytest.approx((B[i] - 1.0) * bessel_k0_scaled(alpha[i]), rel=1e-14)
 
 
 def test_boundary_vectors_scaled_consistency(ref_params):
@@ -193,13 +213,13 @@ def test_boundary_vectors_scaled_consistency(ref_params):
     A = (1.1, 2.0, 3.0)
     B = (0.9, 0.5, -1.0)
     km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
-    P, Q, R, _ = boundary_vectors(alpha, A, B, km, kf, kv)
-    Ps, Qs, Rs, _ = boundary_vectors(alpha, A, B, km, kf, kv, scaled=True)
+    # Removing the implicit e^{-alpha_i} recovers the unscaled definitions.
+    Ps, Qs, Rs, E = boundary_vectors(alpha, A, B, km, kf, kv)
     for i in range(3):
         f = math.exp(-alpha[i])
-        assert Ps[i] * f == pytest.approx(P[i], rel=1e-13)
-        assert Qs[i] * f == pytest.approx(Q[i], rel=1e-13)
-        assert Rs[i] * f == pytest.approx(R[i], rel=1e-13)
+        assert Ps[i] * f == pytest.approx(alpha[i] * bessel_k1(alpha[i]) * E[i], rel=1e-13)
+        assert Qs[i] * f == pytest.approx((A[i] - 1.0) * bessel_k0(alpha[i]), rel=1e-13)
+        assert Rs[i] * f == pytest.approx((B[i] - 1.0) * bessel_k0(alpha[i]), rel=1e-13)
 
 
 def test_solve_boundary_identity_rows():
@@ -228,7 +248,8 @@ def test_boundary_residuals_on_reference_set(ref_params):
     assert abs(qd) <= 1e-10 * scale_q
     assert abs(rd) <= 1e-10 * scale_r
     # unscaled rows at moderate alpha satisfy the same system
-    assert math.fsum(p * d for p, d in zip(asm.P, asm.D)) == pytest.approx(1.0, rel=1e-9)
+    P_unscaled = [p * math.exp(-a) for p, a in zip(P, asm.alpha.alpha)]
+    assert math.fsum(p * d for p, d in zip(P_unscaled, asm.D)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_boundary_condition_number_reasonable(ref_params):
@@ -269,7 +290,6 @@ def test_classic_reduction_against_independent_implementation(ref_params):
     # arbitrary-precision arithmetic, polynomial companion roots, LU solve
     # on the column-equilibrated boundary system, mpmath Bessel functions.
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 120
 
     def reference(kw, u_float):
         om_f, om_v = mp.mpf(repr(kw["omega_f"])), mp.mpf(repr(kw["omega_v"]))
@@ -305,15 +325,16 @@ def test_classic_reduction_against_independent_implementation(ref_params):
                     best = col
             A.append(best[0] / best[2])
             B.append(best[1] / best[2])
+        K0 = [mp.besselk(0, a) for a in al]
         P = [al[i] * mp.besselk(1, al[i]) * (km * A[i] + kf * B[i] + kv) for i in range(3)]
-        Q = [(A[i] - 1) * mp.besselk(0, al[i]) for i in range(3)]
-        R = [(B[i] - 1) * mp.besselk(0, al[i]) for i in range(3)]
+        Q = [(A[i] - 1) * K0[i] for i in range(3)]
+        R = [(B[i] - 1) * K0[i] for i in range(3)]
         S = [mp.e ** al[i] for i in range(3)]
         Ms = mp.matrix([[P[j] * S[j] for j in range(3)],
                         [Q[j] * S[j] for j in range(3)],
                         [R[j] * S[j] for j in range(3)]])
         Dt = mp.lu_solve(Ms, mp.matrix([1 / u, 0, 0]))
-        return float(sum(Dt[i] * S[i] * mp.besselk(0, al[i]) for i in range(3)))
+        return float(sum(Dt[i] * S[i] * K0[i] for i in range(3)))
 
     kw = dict(omega_f=ref_params.omega_f, omega_v=ref_params.omega_v,
               kappa_f=ref_params.kappa_f, kappa_v=ref_params.kappa_v,
@@ -321,7 +342,9 @@ def test_classic_reduction_against_independent_implementation(ref_params):
               lambda_fv=ref_params.lambda_fv)
     for u in np.logspace(-6, 6, 13):
         mine = wellbore_pressure_laplace(ref_params, float(u))
-        assert mine == pytest.approx(reference(kw, float(u)), rel=1e-12)
+        with mp.workdps(120):
+            expected = reference(kw, float(u))
+        assert mine == pytest.approx(expected, rel=1e-12)
 
 
 def test_classic_betas_share_the_fractional_path(ref_params):
@@ -519,7 +542,6 @@ def test_assembly_unscaled_views(ref_params):
     asm = laplace_assembly(ref_params, 1.0)
     for i in range(3):
         f = math.exp(-asm.alpha.alpha[i])
-        assert asm.P[i] == pytest.approx(asm.P_scaled[i] * f, rel=1e-13)
         assert asm.D[i] == pytest.approx(asm.D_scaled[i] / f, rel=1e-13)
 
 

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from triporo.specfun import (BesselEval, bessel_k0, bessel_k0_scaled,
-                             bessel_k1, bessel_k1_scaled, k0_eval, k1_eval)
+from triporo.specfun import (bessel_k0, bessel_k0_scaled, bessel_k1,
+                             bessel_k1_scaled)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -133,11 +133,3 @@ def test_positive_and_strictly_decreasing():
     assert all(b < a for a, b in zip(vals0, vals0[1:]))
     assert all(b < a for a, b in zip(vals1, vals1[1:]))
 
-
-def test_auto_scaled_eval():
-    ev = k0_eval(1.0)
-    assert ev == BesselEval(value=bessel_k0(1.0), scaled=False)
-    big = k0_eval(800.0)
-    assert big.scaled and math.isfinite(big.value) and big.value > 0.0
-    assert k1_eval(800.0).scaled
-    assert k1_eval(2.0) == BesselEval(value=bessel_k1(2.0), scaled=False)
