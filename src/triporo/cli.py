@@ -230,6 +230,8 @@ def _u_grid(cfg) -> list[float]:
             us = [float(v) for v in raw]
         except ValueError as exc:
             raise ConfigError(f"bad u_values entry: {exc}") from exc
+        if not us:
+            raise ConfigError("[laplace] u_values is empty")
     elif cfg.has_section("laplace"):
         u_min = _get_float(cfg, "laplace", "u_min")
         u_max = _get_float(cfg, "laplace", "u_max")
@@ -280,18 +282,13 @@ def cmd_dimensionless(args) -> int:
     phys = _build_physical(cfg)
     scales = to_dimensionless(phys)
     try:
-        scales.params()
+        params = scales.params()
     except ValueError as exc:
         raise ConfigError(f"derived parameters violate invariants: {exc}") from exc
-    pairs = [
-        ("omega_f", scales.omega_f), ("omega_v", scales.omega_v),
-        ("omega_m", 1.0 - scales.omega_f - scales.omega_v),
-        ("kappa_f", scales.kappa_f), ("kappa_v", scales.kappa_v),
-        ("kappa_m", 1.0 - scales.kappa_f - scales.kappa_v),
-        ("lambda_mf", scales.lambda_mf), ("lambda_mv", scales.lambda_mv),
-        ("lambda_fv", scales.lambda_fv),
-        ("t_scale", scales.t_scale), ("p_scale", scales.p_scale),
-    ]
+    pairs = [(key, getattr(params, key)) for key in (
+        "omega_f", "omega_v", "omega_m", "kappa_f", "kappa_v", "kappa_m",
+        "lambda_mf", "lambda_mv", "lambda_fv")]
+    pairs += [("t_scale", scales.t_scale), ("p_scale", scales.p_scale)]
     for key, val in pairs:
         print(f"{key} = {float(val)!r}")
     return EXIT_OK

@@ -79,8 +79,7 @@ def bourdet_derivative(grid, values, smoothing_l: float = 0.0) -> list[float]:
     return out
 
 
-def pressure_curve(p: TriplePorosityParams, grid, scheme: StehfestScheme,
-                   smoothing_l: float = 0.0) -> list[CurvePoint]:
+def pressure_curve(p: TriplePorosityParams, grid, scheme: StehfestScheme) -> list[CurvePoint]:
     """Invert the wellbore pressure on the grid and attach the derivative.
 
     The grid must be non-empty, positive, finite and strictly increasing;
@@ -102,7 +101,7 @@ def pressure_curve(p: TriplePorosityParams, grid, scheme: StehfestScheme,
         except Exception as exc:
             raise CurveError(f"curve evaluation failed at t_D={t!r}: {exc}") from exc
     if len(grid) >= 3:
-        derivs = bourdet_derivative(grid, values, smoothing_l)
+        derivs = bourdet_derivative(grid, values)
     else:
         derivs = [None] * len(values)
     return [CurvePoint(t_D=t, p_w=v, dp_w_dlnt=d)

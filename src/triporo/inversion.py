@@ -104,6 +104,17 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _samples(transform, t: float, ratio, n: int):
+    """Yield F(k * ratio) for k = 1..n; evaluator failures carry their u."""
+    for k in range(1, n + 1):
+        u = k * ratio
+        try:
+            f = transform(u)
+        except Exception as exc:
+            raise TransformEvaluationError(float(u), t, exc) from exc
+        yield f
+
+
 def invert(transform, t: float, scheme: StehfestScheme) -> float:
     """Invert ``transform`` (a callable u -> F(u)) at time t > 0.
 
@@ -112,17 +123,10 @@ def invert(transform, t: float, scheme: StehfestScheme) -> float:
     """
     t = _check_time(t)
     ratio = _LN2 / t
-    terms = []
-    for k in range(1, scheme.n + 1):
-        u = k * ratio
-        try:
-            f = transform(u)
-        except Exception as exc:
-            raise TransformEvaluationError(u, t, exc) from exc
-        terms.append(scheme.weights[k - 1] * f)
     # fsum: the weights alternate in sign with large magnitude; the exact
     # summation preserves what accuracy the rounded terms still carry.
-    return ratio * math.fsum(terms)
+    return ratio * math.fsum(
+        w * f for w, f in zip(scheme.weights, _samples(transform, t, ratio, scheme.n)))
 
 
 def invert_mp(transform, t: float, scheme: StehfestScheme) -> float:
@@ -141,9 +145,8 @@ def invert_mp(transform, t: float, scheme: StehfestScheme) -> float:
     then carries the same cancellation error as ``invert``.  What remains
     is the method error of the order, which no precision removes.
 
-    Checks are those of ``invert``: the order is validated, a bad t raises
-    ValueError, and evaluator exceptions become TransformEvaluationError
-    with the offending u as a float (the original exception is chained).
+    The order, time and evaluator checks are those of ``invert``; the u
+    that a TransformEvaluationError carries is a float.
     """
     weights = stehfest_weights_exact(scheme.n)
     t = _check_time(t)
@@ -152,12 +155,6 @@ def invert_mp(transform, t: float, scheme: StehfestScheme) -> float:
     with mpmath.workdps(dps):
         ratio = mpmath.log(2) / t
         acc = mpmath.mpf(0)
-        for k, w in enumerate(weights, start=1):
-            u = k * ratio
-            try:
-                f = transform(u)
-            except Exception as exc:
-                raise TransformEvaluationError(float(u), t, exc) from exc
+        for w, f in zip(weights, _samples(transform, t, ratio, scheme.n)):
             acc += mpmath.mpf(w.numerator) / w.denominator * f
         return float(ratio * acc)
-

@@ -19,7 +19,7 @@ arbitrarily large alpha (small times in the Stehfest inversion).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .roots import AlphaRoots, CubicCoefficients, alpha_roots
 from .specfun import bessel_k0_scaled, bessel_k1_scaled
@@ -102,10 +102,7 @@ class TriplePorosityParams:
         return 1.0 - self.kappa_f - self.kappa_v
 
     def with_betas(self, beta_m: float, beta_f: float, beta_v: float) -> "TriplePorosityParams":
-        return TriplePorosityParams(
-            self.omega_f, self.omega_v, self.kappa_f, self.kappa_v,
-            self.lambda_mf, self.lambda_mv, self.lambda_fv,
-            beta_m, beta_f, beta_v)
+        return replace(self, beta_m=beta_m, beta_f=beta_f, beta_v=beta_v)
 
 
 @dataclass(frozen=True)
@@ -219,10 +216,22 @@ def characteristic_coefficients(m: MTerms, kappa_m: float, kappa_f: float,
             + 2.0 * m.m2 * m.m3 * m.m5 + m.m3 * m.m3 * m.m4))
 
 
-def _matrix_at(x: float, m: MTerms, kappa_m: float, kappa_f: float, kappa_v: float):
-    return ((kappa_m * x - m.m1, m.m2, m.m3),
-            (m.m2, kappa_f * x - m.m4, m.m5),
-            (m.m3, m.m5, kappa_v * x - m.m6))
+def _adjugate(x: float, m: MTerms, kappa_m: float, kappa_f: float, kappa_v: float):
+    """Rows of M(x) and columns of adj M(x); column j is the cross product of
+    the two rows other than j, so every entry is an explicit 2x2 minor."""
+    r0 = (kappa_m * x - m.m1, m.m2, m.m3)
+    r1 = (m.m2, kappa_f * x - m.m4, m.m5)
+    r2 = (m.m3, m.m5, kappa_v * x - m.m6)
+    c0 = (r1[1] * r2[2] - r1[2] * r2[1],
+          r1[2] * r2[0] - r1[0] * r2[2],
+          r1[0] * r2[1] - r1[1] * r2[0])
+    c1 = (r0[2] * r2[1] - r0[1] * r2[2],
+          r0[0] * r2[2] - r0[2] * r2[0],
+          r0[1] * r2[0] - r0[0] * r2[1])
+    c2 = (r0[1] * r1[2] - r0[2] * r1[1],
+          r0[2] * r1[0] - r0[0] * r1[2],
+          r0[0] * r1[1] - r0[1] * r1[0])
+    return (r0, r1, r2), (c0, c1, c2)
 
 
 def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
@@ -234,13 +243,9 @@ def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
     matrix keeps the null-space extraction residual at machine level.
     """
     for _ in range(3):
-        M = _matrix_at(x, m, kappa_m, kappa_f, kappa_v)
-        c11 = M[1][1] * M[2][2] - M[1][2] * M[2][1]
-        c22 = M[0][0] * M[2][2] - M[0][2] * M[2][0]
-        c33 = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        f = M[0][0] * c11 - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0]) \
-            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-        fp = kappa_m * c11 + kappa_f * c22 + kappa_v * c33
+        (r0, _, _), (c0, c1, c2) = _adjugate(x, m, kappa_m, kappa_f, kappa_v)
+        f = r0[0] * c0[0] + r0[1] * c0[1] + r0[2] * c0[2]  # det M
+        fp = kappa_m * c0[0] + kappa_f * c1[1] + kappa_v * c2[2]  # d det/dx
         if fp == 0.0:
             break
         xn = x - f / fp
@@ -253,37 +258,24 @@ def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
     return x
 
 
-def _null_direction(M) -> tuple[float, float, float]:
-    """Null vector of the (rank-2) symmetric matrix M via row cross products.
+def _modal_from_x(x: float, m: MTerms, kappa_m: float, kappa_f: float,
+                  kappa_v: float) -> tuple[float, float]:
+    """(A, B) from the null direction of the (rank-2) modal matrix M(x).
 
-    The cross products of the three row pairs are parallel copies of the
-    null vector scaled by its own components; the largest one is the best
-    conditioned.  Each entry is an explicit 2x2 minor, so no component is
-    obtained by subtractive normalization.
+    The adjugate columns of a rank-2 matrix are parallel copies of the null
+    vector scaled by its own components; the largest one is the best
+    conditioned.  Ties go to the column from rows (0, 1), then (0, 2).
     """
-    best = None
-    best_mag = -1.0
-    scale = 0.0
-    norms = [math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]) for r in M]
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        ra, rb = M[a], M[b]
-        n = (ra[1] * rb[2] - ra[2] * rb[1],
-             ra[2] * rb[0] - ra[0] * rb[2],
-             ra[0] * rb[1] - ra[1] * rb[0])
-        mag = max(abs(n[0]), abs(n[1]), abs(n[2]))
-        scale = max(scale, norms[a] * norms[b])
-        if mag > best_mag:
-            best, best_mag = n, mag
-    if best_mag <= RANK_TOL * scale:
+    rows, cols = _adjugate(x, m, kappa_m, kappa_f, kappa_v)
+    norms = [math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]) for r in rows]
+    scale = max(norms[0] * norms[1], norms[0] * norms[2], norms[1] * norms[2])
+    mags = [max(abs(c[0]), abs(c[1]), abs(c[2])) for c in cols]
+    j = max((2, 1, 0), key=mags.__getitem__)
+    if mags[j] <= RANK_TOL * scale:
         raise NullSpaceError(
             f"modal matrix has rank < 2 (cross products <= {RANK_TOL} * row scale "
             f"{scale!r}); no unique null direction")
-    return best
-
-
-def _modal_from_x(x: float, m: MTerms, kappa_m: float, kappa_f: float,
-                  kappa_v: float) -> tuple[float, float]:
-    n = _null_direction(_matrix_at(x, m, kappa_m, kappa_f, kappa_v))
+    n = cols[j]
     if n[2] == 0.0:
         raise NullSpaceError(
             f"null direction {n!r} at x={x!r} has zero third component; "
@@ -375,7 +367,6 @@ class LaplaceAssembly:
     alpha: AlphaRoots
     A: tuple[float, float, float]
     B: tuple[float, float, float]
-    E: tuple[float, float, float]
     P_scaled: tuple[float, float, float]
     Q_scaled: tuple[float, float, float]
     R_scaled: tuple[float, float, float]
@@ -404,15 +395,13 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     xs = [_refine_root(a * a, m, km, kf, kv) for a in rough.alpha]
     residuals = tuple(coeffs(x) for x in xs)
     alphas = AlphaRoots(alpha=tuple(math.sqrt(x) for x in xs), residuals=residuals)
-    ab = [_modal_from_x(x, m, km, kf, kv) for x in xs]
-    A = tuple(v[0] for v in ab)
-    B = tuple(v[1] for v in ab)
-    P, Q, R, E = boundary_vectors(alphas.alpha, A, B, km, kf, kv)
+    A, B = zip(*(_modal_from_x(x, m, km, kf, kv) for x in xs))
+    P, Q, R, _ = boundary_vectors(alphas.alpha, A, B, km, kf, kv)
     try:
         D = solve_boundary(P, Q, R, u)
     except SingularBoundaryError as exc:
         raise SingularBoundaryError(f"{exc} (params={p!r})") from exc
-    return LaplaceAssembly(u=u, mterms=m, alpha=alphas, A=A, B=B, E=E,
+    return LaplaceAssembly(u=u, mterms=m, alpha=alphas, A=A, B=B,
                            P_scaled=P, Q_scaled=Q, R_scaled=R, D_scaled=D)
 
 

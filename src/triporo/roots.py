@@ -4,8 +4,8 @@ The degree-six equation in alpha has only even powers, so it is solved as a
 cubic in x = alpha^2.  Closed forms (trigonometric for three real roots,
 Cardano otherwise) seed the dominant root; the remaining pair comes from
 synthetic deflation, and every real root is polished by safeguarded Newton
-steps on the original coefficients.  Deflation uses q0 = -c0/x1 (Vieta),
-which keeps the small roots accurate when the roots span many decades.
+steps on the original coefficients.  Deflation uses the Vieta forms q0 = -c0/x1
+and, when x1 dominates, q1 = (q0 - c1)/x1, so the small roots stay accurate.
 """
 
 import math
@@ -115,10 +115,13 @@ def solve_cubic_real(c: CubicCoefficients) -> tuple[list[float], list[complex]]:
         x1 = u + v + shift
     x1 = _polish(c, x1)
 
-    # Deflate to c3*x^2 + q1*x + q0; the Vieta form of q0 avoids the
-    # catastrophic cancellation of the synthetic q0 = c1 + q1*x1.
-    q1 = c.c2 + c.c3 * x1
-    q0 = (-c.c0 / x1) if x1 != 0.0 else c.c1
+    # Deflate to c3*x^2 + q1*x + q0.  The Vieta forms q0 = -c0/x1 and, when x1
+    # dominates (x1^2 >= |x2 x3|), q1 = (q0 - c1)/x1 avoid catastrophic cancellation.
+    if x1 == 0.0:
+        q1, q0 = c.c2, c.c1
+    else:
+        q0 = -c.c0 / x1
+        q1 = (q0 - c.c1) / x1 if x1 * x1 * abs(c.c3) >= abs(q0) else c.c2 + c.c3 * x1
     disc2 = q1 * q1 - 4.0 * c.c3 * q0
 
     real = [x1]

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,3 +28,23 @@ def test_import_does_not_load_mpmath():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_traced_benchmark_targets_exist(monkeypatch):
+    # perfbench/tracing.py wraps these functions by name; one renamed or
+    # deleted would otherwise show up only in a traced benchmark run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    sys_path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert sys.path == sys_path
+    missing = []
+    for layer, name in tracing.TARGETS:
+        obj = importlib.import_module(f"triporo.{layer}")
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{layer}.{name}")
+    assert tracing.TARGETS and missing == []

@@ -238,6 +238,15 @@ def test_laplace_rejects_nonpositive_u(tmp_path, capsys):
         assert err.startswith("error:") and bad in err
 
 
+def test_laplace_rejects_empty_u_values(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MODEL_BLOCK + "\n[laplace]\nu_values =\n")
+    out = tmp_path / "l.csv"
+    assert main(["laplace", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "u_values" in err
+    assert not out.exists()
+
+
 def test_laplace_grid_form(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_BLOCK +
                     "\n[laplace]\nu_min = 0.1\nu_max = 10\npoints_per_decade = 2\n")

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from triporo.curves import log_time_grid, pressure_curve
+from triporo.inversion import StehfestScheme
 from triporo.model import (ConsistencyError, NullSpaceError, PhysicalParams,
                            SingularBoundaryError, TriplePorosityParams,
                            boundary_vectors, characteristic_coefficients,
@@ -15,6 +17,62 @@ from triporo.specfun import (bessel_k0, bessel_k0_scaled, bessel_k1,
                              bessel_k1_scaled)
 
 COLLAPSED = TriplePorosityParams(1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
+
+# Parameter sets whose characteristic cubic has, at the paired u (a Stehfest
+# node of a 1e-1..1e5 curve), a close pair of roots far below the dominant
+# one, where the deflated q1 = c2 + c3*x1 cancels and the pair can come out
+# complex or off the residual bound.  Field order: omega_f, omega_v,
+# kappa_f, kappa_v, lambda_mf, lambda_mv, lambda_fv, beta_m, beta_f, beta_v.
+DOMAIN_PROBE = [
+    ((1.4905481671909264e-08, 2.80772534890579e-09, 1.2700808609465033e-10,
+      1.2106299829987156e-06, 5.433766290943357e-10, 2.012225952098962e-10,
+      0.14158995259071666, 0.9205511272125928, 0.5658634322909177, 0.6706572378775174),
+     0.00043734630438003596),
+    ((6.652794933710239e-12, 1.8400121961344302e-06, 0.00025957425428455906,
+      6.10608797728646e-10, 9.183934654170337e-12, 4.959973618797946e-10,
+      0.6641783933628098, 0.8630032994085137, 0.6570843426836053, 0.37434591375097565),
+     4.373463043800359e-05),
+    ((8.2568812625546e-08, 0.0021813474052058313, 2.329788451094042e-05,
+      2.2628782570948424e-12, 1.3206509233104361e-08, 1.8469425347478626e-05,
+      0.00014773848158848734, 0.9757244597106633, 0.35460387999075615, 0.9680088310501298),
+     6.591385487058428),
+    ((5.6839903180911345e-08, 4.1495770342272414e-12, 9.17965706779152e-06,
+      1.276231597128095e-12, 1.489048539930827e-07, 4.4150921245710575e-12,
+      0.07540074367270266, 0.4511686158238825, 0.7926366434014516, 0.5935215432430225),
+     0.00010985642478430719),
+    ((3.8074940549096216e-11, 1.3266244554701493e-08, 1.0442615881431216e-12,
+      6.0938706330512435e-05, 5.787653548478645e-12, 7.672409887907052e-06,
+      0.658879958537923, 0.7171964852769648, 0.40222864465853203, 0.9406577953569897),
+     0.05518937256597079),
+    ((0.11731843339466247, 8.208345108373412e-07, 0.32025331846264204,
+      1.1358223801941438e-12, 0.0001208427613651681, 0.018163693354096646,
+      3.830008257362163e-08, 0.8359439236403716, 0.40113786054313183, 0.7770474859849941),
+     0.05518937256597079),
+    ((6.793517203622391e-11, 1.3565187560676033e-08, 1.2102662631429299e-10,
+      2.9112316288231967e-10, 1.243682103884681e-10, 0.3645362392512239,
+      4.756945071536051e-10, 0.778444800629577, 0.6935046143709733, 0.9603865598667216),
+     16.556811769791235),
+    ((0.001587522719742284, 0.0005763337823734498, 0.0021007338857560753,
+      1.079003387243234e-12, 9.689076465545205e-08, 5.35150703446304e-09,
+      0.03316374342085333, 0.577872424704656, 0.75619248279904, 0.8295940803812762),
+     0.8746926087600723),
+    ((1.7992498741336497e-07, 0.8673879639408221, 0.11155975745955682,
+      1.8377177508735894e-12, 2.1183386357342045e-06, 6.119793881012411e-06,
+      0.0002927252408159593, 0.5450938696706288, 0.9294036529309824, 0.7727190257608652),
+     0.00048520302639196166),
+    ((0.3246264678777949, 0.04952373021891043, 0.9140097171915275, 1.2575043630317694e-12,
+      3.706112168984152e-12, 3.450287051595649e-10, 0.19235954315250525, 0.9222943505407368,
+      0.4764908908011349, 0.938658996217282),
+     0.001098564247843072),
+    ((2.6996171714368618e-09, 1.9325776889627644e-12, 2.0826685144273595e-07,
+      1.4287584743557791e-11, 2.3700098369840738e-11, 0.0040060729072538435,
+      1.0770313872824163e-12, 0.9532834384406619, 0.9386915355659748, 0.37740332271707877),
+     7.624618986159398e-05),
+    ((2.548517282695472e-09, 1.40308174084551e-06, 8.196140334566076e-12,
+      1.984034846877241e-05, 3.7582711497320676e-12, 3.9256425179302375e-09,
+      0.21412595287479644, 0.9137287549994793, 0.740798521848218, 0.7531876976916951),
+     0.00013862943611198905),
+]
 
 
 # ---------------------------------------------------------------- params
@@ -557,3 +615,28 @@ def test_collapsed_params_assemble_without_degeneracy_error():
     # Nearly decoupled but nonzero couplings must assemble cleanly.
     asm = laplace_assembly(COLLAPSED, 1.0)
     assert all(math.isfinite(a) for a in asm.A)
+
+
+@pytest.mark.parametrize("values,u_first", DOMAIN_PROBE,
+                         ids=[f"set{i}" for i in range(len(DOMAIN_PROBE))])
+def test_domain_probe_curves_and_roots(values, u_first):
+    mp = pytest.importorskip("mpmath")
+    p = TriplePorosityParams(*values)
+    pts = pressure_curve(p, log_time_grid(1e-1, 1e5, 5), StehfestScheme.of_order(12))
+    pw = [pt.p_w for pt in pts]
+    assert all(math.isfinite(v) for v in pw)
+    assert all(b >= a for a, b in zip(pw, pw[1:]))
+
+    # Oracle: x = alpha^2 are the eigenvalues of kappa^-1/2 S kappa^-1/2,
+    # where M(x) = diag(kappa) x - S, taken at 60 digits from the same m-terms.
+    m = m_terms(p, u_first)
+    with mp.workdps(60):
+        s = [1 / mp.sqrt(mp.mpf(k)) for k in (p.kappa_m, p.kappa_f, p.kappa_v)]
+        S = mp.matrix([[m.m1, -m.m2, -m.m3], [-m.m2, m.m4, -m.m5], [-m.m3, -m.m5, m.m6]])
+        for i in range(3):
+            for j in range(3):
+                S[i, j] *= s[i] * s[j]
+        ref = sorted(mp.sqrt(x) for x in mp.eigsy(S, eigvals_only=True))
+        alpha = laplace_assembly(p, u_first).alpha.alpha
+        worst = max(abs(a - r) / r for a, r in zip(alpha, ref))
+    assert worst <= 1e-7

@@ -64,6 +64,44 @@ def test_brute_force_recovery():
     assert worst <= 1e-7
 
 
+def test_close_pair_under_dominant_root_stays_real():
+    # A close pair (relative gap 1e-4..1e-2) six to twelve decades below the
+    # dominant root: the deflated q1 = c2 + c3*x1 cancels there, and its
+    # rounding error alone can make the pair's discriminant negative.
+    rng = np.random.RandomState(11)
+    worst = 0.0
+    for _ in range(1000):
+        b = 10.0 ** rng.uniform(-6, 3)
+        pair = (b, b * (1.0 + 10.0 ** rng.uniform(-4, -2)))
+        r = np.sort([*pair, b * 10.0 ** rng.uniform(6, 12)])
+        c3 = 10.0 ** rng.uniform(-3, 3) * rng.choice([-1.0, 1.0])
+        real, cplx = solve_cubic_real(from_roots(tuple(r), c3))
+        assert cplx == [], (r, cplx)
+        worst = max(worst, float(np.max(np.abs(np.array(real) / r - 1.0))))
+    assert worst <= 1e-10
+
+
+def test_complex_pair_under_dominant_real_root():
+    # One real root two to ten decades above the modulus of a complex
+    # pair, where q1 = c2 + c3*x1 would cancel.
+    rng = np.random.RandomState(12)
+    worst = 0.0
+    for _ in range(2000):
+        modulus = 10.0 ** rng.uniform(-6, 3)
+        theta = rng.uniform(0.1, math.pi - 0.1)
+        z = modulus * complex(math.cos(theta), math.sin(theta))
+        x1 = abs(z) * 10.0 ** rng.uniform(2, 10) * rng.choice([-1.0, 1.0])
+        c3 = 10.0 ** rng.uniform(-3, 3) * rng.choice([-1.0, 1.0])
+        c = CubicCoefficients(c3, -c3 * (x1 + 2.0 * z.real),
+                              c3 * (2.0 * z.real * x1 + abs(z) ** 2),
+                              -c3 * x1 * abs(z) ** 2)
+        real, cplx = solve_cubic_real(c)
+        assert len(real) == 1 and len(cplx) == 2
+        upper = max(cplx, key=lambda w: w.imag)
+        worst = max(worst, abs(upper - z) / abs(z))
+    assert worst <= 1e-12
+
+
 def test_vieta_identities():
     rng = np.random.RandomState(7)
     for _ in range(500):
