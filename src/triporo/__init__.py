@@ -10,32 +10,30 @@ it with the Gaver-Stehfest algorithm.
 from .curves import (CurvePoint, bourdet_derivative, log_time_grid,
                      pressure_curve, read_curve, write_curve)
 from .inversion import (StehfestScheme, TransformEvaluationError, invert,
-                        invert_mp, stehfest_weights)
+                        invert_mp)
 from .model import (ConsistencyError, DimensionlessTransform, LaplaceAssembly,
-                    MTerms, NullSpaceError, PhysicalParams,
-                    SingularBoundaryError, TriplePorosityParams,
-                    boundary_vectors, characteristic_coefficients,
-                    field_pressure_laplace, from_dimensionless,
-                    laplace_assembly, m_terms, modal_coefficients,
-                    single_medium_pressure_laplace, solve_boundary,
-                    to_dimensionless, wellbore_pressure_laplace)
-from .roots import (AlphaRoots, CubicCoefficients, RootClassificationError,
-                    alpha_roots, solve_cubic_real)
-from .specfun import bessel_k0, bessel_k0_scaled, bessel_k1, bessel_k1_scaled
+                    NullSpaceError, PhysicalParams, SingularBoundaryError,
+                    TriplePorosityParams, field_pressure_laplace,
+                    from_dimensionless, laplace_assembly,
+                    single_medium_pressure_laplace, to_dimensionless,
+                    wellbore_pressure_laplace)
+from .roots import RootClassificationError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaRoots", "ConsistencyError", "CubicCoefficients", "CurvePoint",
-    "DimensionlessTransform", "LaplaceAssembly", "MTerms", "NullSpaceError",
-    "PhysicalParams", "RootClassificationError", "SingularBoundaryError",
-    "StehfestScheme", "TransformEvaluationError", "TriplePorosityParams",
-    "alpha_roots", "bessel_k0", "bessel_k0_scaled", "bessel_k1",
-    "bessel_k1_scaled", "boundary_vectors", "bourdet_derivative",
-    "characteristic_coefficients", "field_pressure_laplace",
-    "from_dimensionless", "invert", "invert_mp", "laplace_assembly",
-    "log_time_grid", "m_terms", "modal_coefficients", "pressure_curve",
-    "read_curve", "single_medium_pressure_laplace", "solve_boundary",
-    "solve_cubic_real", "stehfest_weights", "to_dimensionless",
-    "wellbore_pressure_laplace", "write_curve",
+    # parameters
+    "TriplePorosityParams", "PhysicalParams", "DimensionlessTransform",
+    "to_dimensionless", "from_dimensionless",
+    # Laplace space
+    "wellbore_pressure_laplace", "laplace_assembly", "LaplaceAssembly",
+    "field_pressure_laplace", "single_medium_pressure_laplace",
+    # inversion
+    "StehfestScheme", "invert", "invert_mp",
+    # curves
+    "log_time_grid", "pressure_curve", "bourdet_derivative", "CurvePoint",
+    "write_curve", "read_curve",
+    # errors
+    "ConsistencyError", "NullSpaceError", "SingularBoundaryError",
+    "RootClassificationError", "TransformEvaluationError",
 ]

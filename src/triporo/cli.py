@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .curves import CurveError, log_time_grid, pressure_curve, write_curve
+from .curves import log_time_grid, pressure_curve, write_curve
 from .inversion import StehfestScheme, TransformEvaluationError
 from .model import (ConsistencyError, NullSpaceError, PhysicalParams,
                     SingularBoundaryError, TriplePorosityParams,
@@ -25,7 +25,7 @@ from .roots import RootClassificationError
 EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_IO = 0, 1, 2, 3
 
 MODEL_ERRORS = (RootClassificationError, NullSpaceError, SingularBoundaryError,
-                ConsistencyError, TransformEvaluationError, CurveError)
+                ConsistencyError, TransformEvaluationError)
 
 LAPLACE_HEADER = ("u,m1,m2,m3,m4,m5,m6,alpha1,alpha2,alpha3,"
                   "A1,A2,A3,B1,B2,B3,D1,D2,D3,pw_bar")

@@ -10,10 +10,6 @@ from .model import TriplePorosityParams, wellbore_pressure_laplace
 CSV_HEADER = "t_D,p_w,dp_w_dlnt"
 
 
-class CurveError(Exception):
-    """Curve evaluation failed at a specific grid point."""
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     """One (t_D, p_w, dp_w/dln t_D) sample; derivative None when undefined."""
@@ -38,20 +34,16 @@ def log_time_grid(t_min: float, t_max: float, points_per_decade: int) -> list[fl
     return grid
 
 
-def bourdet_derivative(grid, values, smoothing_l: float = 0.0) -> list[float]:
+def bourdet_derivative(grid, values) -> list[float]:
     """Weighted central differences of ``values`` with respect to ln t.
 
-    Interior points combine the slopes to the nearest neighbors at ln-
-    distance >= smoothing_l on each side (adjacent points for the default
-    smoothing_l = 0).  Endpoints are one-sided differences and carry lower
-    quality.
+    Interior points combine the slopes to the adjacent points on each side.
+    Endpoints are one-sided differences and carry lower quality.
     """
     if len(grid) != len(values):
         raise ValueError(f"grid and values differ in length: {len(grid)} vs {len(values)}")
     if len(grid) < 3:
         raise ValueError(f"need at least 3 points, got {len(grid)}")
-    if smoothing_l < 0.0:
-        raise ValueError(f"smoothing window must be >= 0, got {smoothing_l!r}")
     lnt = [math.log(t) for t in grid]
     for a, b in zip(lnt, lnt[1:]):
         if b <= a:
@@ -65,16 +57,10 @@ def bourdet_derivative(grid, values, smoothing_l: float = 0.0) -> list[float]:
         if i == n - 1:
             out.append((values[-1] - values[-2]) / (lnt[-1] - lnt[-2]))
             continue
-        left = i - 1
-        while left > 0 and lnt[i] - lnt[left] < smoothing_l:
-            left -= 1
-        right = i + 1
-        while right < n - 1 and lnt[right] - lnt[i] < smoothing_l:
-            right += 1
-        dl = lnt[i] - lnt[left]
-        dr = lnt[right] - lnt[i]
-        sl = (values[i] - values[left]) / dl
-        sr = (values[right] - values[i]) / dr
+        dl = lnt[i] - lnt[i - 1]
+        dr = lnt[i + 1] - lnt[i]
+        sl = (values[i] - values[i - 1]) / dl
+        sr = (values[i + 1] - values[i]) / dr
         out.append((sl * dr + sr * dl) / (dl + dr))
     return out
 
@@ -94,12 +80,8 @@ def pressure_curve(p: TriplePorosityParams, grid, scheme: StehfestScheme) -> lis
     for a, b in zip(grid, grid[1:]):
         if not b > a:
             raise ValueError(f"time grid must be strictly increasing ({a!r} -> {b!r})")
-    values = []
-    for t in grid:
-        try:
-            values.append(invert(lambda u: wellbore_pressure_laplace(p, u), t, scheme))
-        except Exception as exc:
-            raise CurveError(f"curve evaluation failed at t_D={t!r}: {exc}") from exc
+    values = [invert(lambda u: wellbore_pressure_laplace(p, u), t, scheme)
+              for t in grid]
     if len(grid) >= 3:
         derivs = bourdet_derivative(grid, values)
     else:

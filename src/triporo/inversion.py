@@ -105,11 +105,13 @@ def _check_time(t: float) -> float:
 
 
 def _samples(transform, t: float, ratio, n: int):
-    """Yield F(k * ratio) for k = 1..n; evaluator failures carry their u."""
+    """Yield F(k * ratio), k = 1..n; a raising or non-finite F carries its u."""
     for k in range(1, n + 1):
         u = k * ratio
         try:
             f = transform(u)
+            if not math.isfinite(f):
+                raise ValueError(f"transform value {f!r} is not finite")
         except Exception as exc:
             raise TransformEvaluationError(float(u), t, exc) from exc
         yield f
@@ -118,8 +120,8 @@ def _samples(transform, t: float, ratio, n: int):
 def invert(transform, t: float, scheme: StehfestScheme) -> float:
     """Invert ``transform`` (a callable u -> F(u)) at time t > 0.
 
-    Evaluator exceptions are re-raised as TransformEvaluationError with
-    the offending u attached (the original exception is chained).
+    Evaluator exceptions and non-finite F(u) raise TransformEvaluationError
+    with the offending u attached (the original exception is chained).
     """
     t = _check_time(t)
     ratio = _LN2 / t

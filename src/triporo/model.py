@@ -287,14 +287,6 @@ def _modal_from_x(x: float, m: MTerms, kappa_m: float, kappa_f: float,
     return a, b
 
 
-def modal_coefficients(alpha_i: float, m: MTerms, kappa_m: float,
-                       kappa_f: float, kappa_v: float) -> tuple[float, float]:
-    """(A_i, B_i) with the vug component normalized to 1 at root alpha_i."""
-    if not (math.isfinite(alpha_i) and alpha_i > 0.0):
-        raise ValueError(f"alpha must be a positive finite real, got {alpha_i!r}")
-    return _modal_from_x(alpha_i * alpha_i, m, kappa_m, kappa_f, kappa_v)
-
-
 def boundary_vectors(alpha, A, B, kappa_m: float, kappa_f: float,
                      kappa_v: float):
     """Scaled boundary-system rows (P, Q, R) and the modal totals E.
@@ -322,13 +314,12 @@ def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
     construction.  Column scalings of (P, Q, R) carry through to D
     unchanged in the inner products.
     """
-    u = _check_u(u)
     terms = (Q[0] * R[1] * P[2], -Q[0] * P[1] * R[2], -R[0] * Q[1] * P[2],
              -R[1] * P[0] * Q[2], P[1] * R[0] * Q[2], P[0] * Q[1] * R[2])
     det = math.fsum(terms)
     # Cancellation metric: the determinant against its own expansion terms.
     scale = max(abs(t) for t in terms)
-    if abs(det) <= SINGULAR_TOL * scale:
+    if not abs(det) > SINGULAR_TOL * scale:
         raise SingularBoundaryError(
             f"boundary system singular at u={u!r}: |det|={abs(det)!r} "
             f"<= {SINGULAR_TOL} * row scale {scale!r}")
@@ -377,18 +368,27 @@ class LaplaceAssembly:
         return tuple(_unscale_weight(d, a) for d, a in zip(self.D_scaled, self.alpha.alpha))
 
     def wellbore_pressures(self) -> tuple[float, float, float]:
-        """(matrix, fracture, vug) wellbore pressures; equal in exact arithmetic."""
+        """(matrix, fracture, vug) wellbore pressures; equal in exact arithmetic.
+
+        Their disagreement beyond CONSISTENCY_TOL, or a non-finite value,
+        raises ConsistencyError.
+        """
         k0v = [bessel_k0_scaled(a) for a in self.alpha.alpha]
         pv = math.fsum(self.D_scaled[i] * k0v[i] for i in range(3))
         pm = math.fsum(self.A[i] * self.D_scaled[i] * k0v[i] for i in range(3))
         pf = math.fsum(self.B[i] * self.D_scaled[i] * k0v[i] for i in range(3))
+        tol = CONSISTENCY_TOL * abs(pv)
+        if not (abs(pm - pv) <= tol and abs(pf - pv) <= tol):
+            raise ConsistencyError(
+                f"wellbore pressure triple equality violated at u={self.u!r}: "
+                f"matrix={pm!r} fracture={pf!r} vug={pv!r}")
         return pm, pf, pv
 
 
 def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     """Assemble the full Laplace-space solution state at u > 0."""
-    u = _check_u(u)
-    m = m_terms(p, u)
+    m = m_terms(p, u)  # checks u
+    u = float(u)
     km, kf, kv = p.kappa_m, p.kappa_f, p.kappa_v
     coeffs = characteristic_coefficients(m, km, kf, kv)
     rough = alpha_roots(coeffs, u=u)
@@ -406,26 +406,13 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
 
 
 def wellbore_pressure_laplace(p: TriplePorosityParams, u: float) -> float:
-    """Dimensionless wellbore pressure in Laplace space, sum_i D_i K0(alpha_i).
-
-    The matrix/fracture/vug expressions for the wellbore pressure must
-    agree; their disagreement beyond CONSISTENCY_TOL raises
-    ConsistencyError.
-    """
-    asm = laplace_assembly(p, u)
-    pm, pf, pv = asm.wellbore_pressures()
-    tol = CONSISTENCY_TOL * abs(pv)
-    if abs(pm - pv) > tol or abs(pf - pv) > tol:
-        raise ConsistencyError(
-            f"wellbore pressure triple equality violated at u={u!r}: "
-            f"matrix={pm!r} fracture={pf!r} vug={pv!r}")
-    return pv
+    """Dimensionless wellbore pressure in Laplace space, sum_i D_i K0(alpha_i)."""
+    return laplace_assembly(p, u).wellbore_pressures()[2]
 
 
 def field_pressure_laplace(p: TriplePorosityParams, u: float,
                            r_d: float) -> tuple[float, float, float]:
     """Laplace-space pressures (matrix, fracture, vug) at radius r_d >= 1."""
-    u = _check_u(u)
     r_d = float(r_d)
     if not (math.isfinite(r_d) and r_d >= 1.0):
         raise ValueError(f"r_d must be >= 1, got {r_d!r}")

@@ -59,10 +59,10 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _polish(c: CubicCoefficients, x: float, iters: int = 12) -> float:
+def _polish(c: CubicCoefficients, x: float) -> float:
     """Safeguarded Newton on the original cubic; never worsens |f|."""
     fx = abs(c(x))
-    for _ in range(iters):
+    for _ in range(12):
         fp = (3.0 * c.c3 * x + 2.0 * c.c2) * x + c.c1
         if fp == 0.0:
             break

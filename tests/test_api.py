@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,18 @@ def test_all_names_resolve():
 
 def test_all_has_no_duplicates():
     assert len(triporo.__all__) == len(set(triporo.__all__))
+
+
+def test_public_api_matches_readme():
+    # The README's Library section names the public API, and nothing else,
+    # in backticks outside its code block.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    names = {span for span in re.findall(r"`([^`\n]+)`", section)
+             if span.isidentifier()}
+    assert names == set(triporo.__all__)
 
 
 def test_import_does_not_load_mpmath():

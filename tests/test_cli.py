@@ -203,6 +203,16 @@ def test_sweep_requires_triples(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 1
 
 
+def test_laplace_runs_the_consistency_check(tmp_path, monkeypatch, capsys):
+    import triporo.model
+
+    monkeypatch.setattr(triporo.model, "CONSISTENCY_TOL", 0.0)
+    cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN + "\n[laplace]\nu_values = 1.0\n")
+    assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "lap.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "model error:" in err and "u=1.0" in err
+
+
 def test_laplace_single_u(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN + "\n[laplace]\nu_values = 1.0\n")
     out = tmp_path / "lap.csv"

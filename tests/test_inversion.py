@@ -151,6 +151,16 @@ def test_evaluator_errors_carry_u():
         assert isinstance(err.value.__cause__, ArithmeticError)
 
 
+def test_nonfinite_transform_values_are_refused():
+    # NaN would pass silently and +-inf would end in a bare fsum ValueError.
+    s = StehfestScheme.of_order(8)
+    for bad in (math.nan, math.inf, -math.inf):
+        for inverse in (invert, invert_mp):
+            with pytest.raises(TransformEvaluationError, match="not finite") as err:
+                inverse(lambda u: bad if u > 2.0 else 1.0 / u, 1.0, s)
+            assert err.value.u > 2.0 and err.value.t == 1.0
+
+
 def test_invert_curve_constant():
     s = StehfestScheme.of_order(12)
     grid = list(np.logspace(-1, 2, 16))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from triporo.model import (ConsistencyError, NullSpaceError, PhysicalParams,
                            SingularBoundaryError, TriplePorosityParams,
                            boundary_vectors, characteristic_coefficients,
                            field_pressure_laplace, from_dimensionless,
-                           laplace_assembly, m_terms, modal_coefficients,
+                           laplace_assembly, m_terms,
                            single_medium_pressure_laplace, solve_boundary,
                            to_dimensionless, wellbore_pressure_laplace)
 from triporo.roots import solve_cubic_real
@@ -233,20 +234,11 @@ def test_modal_closed_form_wide_sweep(ref_params):
 
 
 def test_modal_decoupled_medium_reports_degeneracy():
-    # With all couplings exactly zero the null vector at the matrix root
-    # is (1, 0, 0)-directed and C-normalization must fail loudly.
+    # With all couplings exactly zero each null vector is axis-directed and
+    # C-normalization must fail loudly.
     p = TriplePorosityParams(0.02, 0.8, 0.75, 0.02, 0.0, 0.0, 0.0)
-    m = m_terms(p, 1.0)
-    alpha_matrix = math.sqrt(m.m1 / p.kappa_m)
-    with pytest.raises(NullSpaceError):
-        modal_coefficients(alpha_matrix, m, p.kappa_m, p.kappa_f, p.kappa_v)
-
-
-def test_modal_rejects_bad_alpha(ref_params):
-    m = m_terms(ref_params, 1.0)
-    with pytest.raises(ValueError):
-        modal_coefficients(-1.0, m, ref_params.kappa_m, ref_params.kappa_f,
-                           ref_params.kappa_v)
+    with pytest.raises(NullSpaceError, match="decoupled medium"):
+        laplace_assembly(p, 1.0)
 
 
 # ------------------------------------------------------ boundary system
@@ -295,6 +287,11 @@ def test_solve_boundary_singular():
         solve_boundary((1, 0, 0), (1, 0, 0), (0, 0, 1), 1.0)
 
 
+def test_solve_boundary_refuses_nan_entry():
+    with pytest.raises(SingularBoundaryError, match="nan"):
+        solve_boundary((1, 0, 0), (0, math.nan, 0), (0, 0, 1), 1.0)
+
+
 def test_boundary_residuals_on_reference_set(ref_params):
     asm = laplace_assembly(ref_params, 1.0)
     P, Q, R, D = asm.P_scaled, asm.Q_scaled, asm.R_scaled, asm.D_scaled
@@ -325,6 +322,16 @@ def test_triple_equality_across_u(ref_params):
         pm, pf, pv = asm.wellbore_pressures()
         assert pm == pytest.approx(pv, rel=1e-9)
         assert pf == pytest.approx(pv, rel=1e-9)
+
+
+def test_wellbore_pressures_check_triple_equality(ref_params):
+    # The one check site: a finite disagreement and a NaN both raise.
+    asm = laplace_assembly(ref_params, 1.0)
+    A = (asm.A[0] * (1.0 + 1e-6), *asm.A[1:])
+    D = (asm.D_scaled[0], math.nan, asm.D_scaled[2])
+    for bad in (replace(asm, A=A), replace(asm, D_scaled=D)):
+        with pytest.raises(ConsistencyError, match="u=1.0"):
+            bad.wellbore_pressures()
 
 
 def test_wellbore_pressure_decreasing_in_u(ref_params):
@@ -400,7 +407,8 @@ def test_classic_reduction_against_independent_implementation(ref_params):
               lambda_fv=ref_params.lambda_fv)
     for u in np.logspace(-6, 6, 13):
         mine = wellbore_pressure_laplace(ref_params, float(u))
-        with mp.workdps(120):
+        # 30 digits return the same float as 60 and 120 for all 13 u.
+        with mp.workdps(30):
             expected = reference(kw, float(u))
         assert mine == pytest.approx(expected, rel=1e-12)
 
