@@ -20,6 +20,7 @@ arbitrarily large alpha (small times in the Stehfest inversion).
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .roots import AlphaRoots, CubicCoefficients, alpha_roots
 from .specfun import bessel_k0_scaled, bessel_k1_scaled
@@ -146,8 +147,7 @@ class PhysicalParams:
                 raise ValueError(f"{name} must be >= 0, got {v!r}")
 
 
-@dataclass(frozen=True)
-class MTerms:
+class MTerms(NamedTuple):
     """The six auxiliary coefficients of the Laplace-space modal matrix."""
 
     m1: float
@@ -195,43 +195,43 @@ def m_terms(p: TriplePorosityParams, u: float) -> MTerms:
     """Auxiliary coefficients at Laplace variable u > 0."""
     u = _check_u(u)
     return MTerms(
-        m1=u**p.beta_m * p.omega_m + p.lambda_mf + p.lambda_mv,
-        m2=p.lambda_mf,
-        m3=p.lambda_mv,
-        m4=u**p.beta_f * p.omega_f + p.lambda_mf + p.lambda_fv,
-        m5=p.lambda_fv,
-        m6=u**p.beta_v * p.omega_v + p.lambda_mv + p.lambda_fv)
+        u**p.beta_m * p.omega_m + p.lambda_mf + p.lambda_mv,
+        p.lambda_mf,
+        p.lambda_mv,
+        u**p.beta_f * p.omega_f + p.lambda_mf + p.lambda_fv,
+        p.lambda_fv,
+        u**p.beta_v * p.omega_v + p.lambda_mv + p.lambda_fv)
 
 
 def characteristic_coefficients(m: MTerms, kappa_m: float, kappa_f: float,
                                 kappa_v: float) -> CubicCoefficients:
     """Cubic in x = alpha^2 whose roots are the squared modal decay rates."""
+    m1, m2, m3, m4, m5, m6 = m
     return CubicCoefficients(
-        c3=kappa_m * kappa_f * kappa_v,
-        c2=-(kappa_m * (kappa_f * m.m6 + kappa_v * m.m4) + kappa_f * kappa_v * m.m1),
-        c1=(kappa_m * m.m4 * m.m6 - kappa_m * m.m5 * m.m5
-            + (kappa_f * m.m6 + kappa_v * m.m4) * m.m1
-            - kappa_v * m.m2 * m.m2 - kappa_f * m.m3 * m.m3),
-        c0=(-m.m1 * m.m4 * m.m6 + m.m1 * m.m5 * m.m5 + m.m2 * m.m2 * m.m6
-            + 2.0 * m.m2 * m.m3 * m.m5 + m.m3 * m.m3 * m.m4))
+        kappa_m * kappa_f * kappa_v,
+        -(kappa_m * (kappa_f * m6 + kappa_v * m4) + kappa_f * kappa_v * m1),
+        (kappa_m * m4 * m6 - kappa_m * m5 * m5
+         + (kappa_f * m6 + kappa_v * m4) * m1
+         - kappa_v * m2 * m2 - kappa_f * m3 * m3),
+        (-m1 * m4 * m6 + m1 * m5 * m5 + m2 * m2 * m6
+         + 2.0 * m2 * m3 * m5 + m3 * m3 * m4))
 
 
 def _adjugate(x: float, m: MTerms, kappa_m: float, kappa_f: float, kappa_v: float):
-    """Rows of M(x) and columns of adj M(x); column j is the cross product of
-    the two rows other than j, so every entry is an explicit 2x2 minor."""
-    r0 = (kappa_m * x - m.m1, m.m2, m.m3)
-    r1 = (m.m2, kappa_f * x - m.m4, m.m5)
-    r2 = (m.m3, m.m5, kappa_v * x - m.m6)
-    c0 = (r1[1] * r2[2] - r1[2] * r2[1],
-          r1[2] * r2[0] - r1[0] * r2[2],
-          r1[0] * r2[1] - r1[1] * r2[0])
-    c1 = (r0[2] * r2[1] - r0[1] * r2[2],
-          r0[0] * r2[2] - r0[2] * r2[0],
-          r0[1] * r2[0] - r0[0] * r2[1])
-    c2 = (r0[1] * r1[2] - r0[2] * r1[1],
-          r0[2] * r1[0] - r0[0] * r1[2],
-          r0[0] * r1[1] - r0[1] * r1[0])
-    return (r0, r1, r2), (c0, c1, c2)
+    """Diagonal of M(x) and the distinct entries of adj M(x), as flat floats.
+
+    Returns (d0, d1, d2, a00, a11, a22, a01, a02, a12).  M(x) has rows
+    (d0, m2, m3), (m2, d1, m5), (m3, m5, d2); column j of adj M(x) is the
+    cross product of the two rows other than j, so every entry is an explicit
+    2x2 minor.  M is symmetric, so adj M is too: its nine entries are these six.
+    """
+    m1, m2, m3, m4, m5, m6 = m
+    d0 = kappa_m * x - m1
+    d1 = kappa_f * x - m4
+    d2 = kappa_v * x - m6
+    return (d0, d1, d2,
+            d1 * d2 - m5 * m5, d0 * d2 - m3 * m3, d0 * d1 - m2 * m2,
+            m3 * m5 - m2 * d2, m2 * m5 - m3 * d1, m2 * m3 - d0 * m5)
 
 
 def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
@@ -242,10 +242,11 @@ def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
     roots off the true determinant zero; refining against the assembled
     matrix keeps the null-space extraction residual at machine level.
     """
+    m2, m3 = m.m2, m.m3
     for _ in range(3):
-        (r0, _, _), (c0, c1, c2) = _adjugate(x, m, kappa_m, kappa_f, kappa_v)
-        f = r0[0] * c0[0] + r0[1] * c0[1] + r0[2] * c0[2]  # det M
-        fp = kappa_m * c0[0] + kappa_f * c1[1] + kappa_v * c2[2]  # d det/dx
+        d0, _, _, a00, a11, a22, a01, a02, _ = _adjugate(x, m, kappa_m, kappa_f, kappa_v)
+        f = d0 * a00 + m2 * a01 + m3 * a02  # det M: row 0 . adjugate column 0
+        fp = kappa_m * a00 + kappa_f * a11 + kappa_v * a22  # d det/dx
         if fp == 0.0:
             break
         xn = x - f / fp
@@ -266,16 +267,23 @@ def _modal_from_x(x: float, m: MTerms, kappa_m: float, kappa_f: float,
     vector scaled by its own components; the largest one is the best
     conditioned.  Ties go to the column from rows (0, 1), then (0, 2).
     """
-    rows, cols = _adjugate(x, m, kappa_m, kappa_f, kappa_v)
-    norms = [math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]) for r in rows]
-    scale = max(norms[0] * norms[1], norms[0] * norms[2], norms[1] * norms[2])
-    mags = [max(abs(c[0]), abs(c[1]), abs(c[2])) for c in cols]
-    j = max((2, 1, 0), key=mags.__getitem__)
-    if mags[j] <= RANK_TOL * scale:
+    _, m2, m3, _, m5, _ = m
+    d0, d1, d2, a00, a11, a22, a01, a02, a12 = _adjugate(x, m, kappa_m, kappa_f, kappa_v)
+    n0 = math.sqrt(d0 * d0 + m2 * m2 + m3 * m3)
+    n1 = math.sqrt(m2 * m2 + d1 * d1 + m5 * m5)
+    n2 = math.sqrt(m3 * m3 + m5 * m5 + d2 * d2)
+    scale = max(n0 * n1, n0 * n2, n1 * n2)
+    n, mag = (a02, a12, a22), max(abs(a02), abs(a12), abs(a22))
+    mag1 = max(abs(a01), abs(a11), abs(a12))
+    if mag1 > mag:
+        n, mag = (a01, a11, a12), mag1
+    mag0 = max(abs(a00), abs(a01), abs(a02))
+    if mag0 > mag:
+        n, mag = (a00, a01, a02), mag0
+    if mag <= RANK_TOL * scale:
         raise NullSpaceError(
             f"modal matrix has rank < 2 (cross products <= {RANK_TOL} * row scale "
             f"{scale!r}); no unique null direction")
-    n = cols[j]
     if n[2] == 0.0:
         raise NullSpaceError(
             f"null direction {n!r} at x={x!r} has zero third component; "
@@ -297,13 +305,16 @@ def boundary_vectors(alpha, A, B, kappa_m: float, kappa_f: float,
     entry i carries an implicit e^{-alpha_i}.  The unscaled rows underflow
     once alpha_i exceeds ~740 and are not formed.
     """
-    E = tuple(kappa_m * A[i] + kappa_f * B[i] + kappa_v for i in range(3))
-    k0v = [bessel_k0_scaled(a) for a in alpha]
-    k1v = [bessel_k1_scaled(a) for a in alpha]
-    P = tuple(alpha[i] * k1v[i] * E[i] for i in range(3))
-    Q = tuple((A[i] - 1.0) * k0v[i] for i in range(3))
-    R = tuple((B[i] - 1.0) * k0v[i] for i in range(3))
-    return P, Q, R, E
+    (a0, a1, a2), (A0, A1, A2), (B0, B1, B2) = alpha, A, B
+    e0 = kappa_m * A0 + kappa_f * B0 + kappa_v
+    e1 = kappa_m * A1 + kappa_f * B1 + kappa_v
+    e2 = kappa_m * A2 + kappa_f * B2 + kappa_v
+    k00, k01, k02 = bessel_k0_scaled(a0), bessel_k0_scaled(a1), bessel_k0_scaled(a2)
+    k10, k11, k12 = bessel_k1_scaled(a0), bessel_k1_scaled(a1), bessel_k1_scaled(a2)
+    return ((a0 * k10 * e0, a1 * k11 * e1, a2 * k12 * e2),
+            ((A0 - 1.0) * k00, (A1 - 1.0) * k01, (A2 - 1.0) * k02),
+            ((B0 - 1.0) * k00, (B1 - 1.0) * k01, (B2 - 1.0) * k02),
+            (e0, e1, e2))
 
 
 def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
@@ -314,19 +325,20 @@ def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
     construction.  Column scalings of (P, Q, R) carry through to D
     unchanged in the inner products.
     """
-    terms = (Q[0] * R[1] * P[2], -Q[0] * P[1] * R[2], -R[0] * Q[1] * P[2],
-             -R[1] * P[0] * Q[2], P[1] * R[0] * Q[2], P[0] * Q[1] * R[2])
-    det = math.fsum(terms)
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = P, Q, R
+    t0, t1, t2 = q0 * r1 * p2, -q0 * p1 * r2, -r0 * q1 * p2
+    t3, t4, t5 = -r1 * p0 * q2, p1 * r0 * q2, p0 * q1 * r2
+    det = math.fsum((t0, t1, t2, t3, t4, t5))
     # Cancellation metric: the determinant against its own expansion terms.
-    scale = max(abs(t) for t in terms)
+    scale = max(abs(t0), abs(t1), abs(t2), abs(t3), abs(t4), abs(t5))
     if not abs(det) > SINGULAR_TOL * scale:
         raise SingularBoundaryError(
             f"boundary system singular at u={u!r}: |det|={abs(det)!r} "
             f"<= {SINGULAR_TOL} * row scale {scale!r}")
-    cross = (Q[1] * R[2] - Q[2] * R[1],
-             Q[2] * R[0] - Q[0] * R[2],
-             Q[0] * R[1] - Q[1] * R[0])
-    return tuple(c / (u * det) for c in cross)
+    ud = u * det
+    return ((q1 * r2 - q2 * r1) / ud,
+            (q2 * r0 - q0 * r2) / ud,
+            (q0 * r1 - q1 * r0) / ud)
 
 
 def _unscale_weight(d_scaled: float, alpha: float) -> float:
@@ -365,7 +377,8 @@ class LaplaceAssembly:
 
     @property
     def D(self) -> tuple[float, float, float]:
-        return tuple(_unscale_weight(d, a) for d, a in zip(self.D_scaled, self.alpha.alpha))
+        (d0, d1, d2), (a0, a1, a2) = self.D_scaled, self.alpha.alpha
+        return _unscale_weight(d0, a0), _unscale_weight(d1, a1), _unscale_weight(d2, a2)
 
     def wellbore_pressures(self) -> tuple[float, float, float]:
         """(matrix, fracture, vug) wellbore pressures; equal in exact arithmetic.
@@ -373,10 +386,12 @@ class LaplaceAssembly:
         Their disagreement beyond CONSISTENCY_TOL, or a non-finite value,
         raises ConsistencyError.
         """
-        k0v = [bessel_k0_scaled(a) for a in self.alpha.alpha]
-        pv = math.fsum(self.D_scaled[i] * k0v[i] for i in range(3))
-        pm = math.fsum(self.A[i] * self.D_scaled[i] * k0v[i] for i in range(3))
-        pf = math.fsum(self.B[i] * self.D_scaled[i] * k0v[i] for i in range(3))
+        (a0, a1, a2), (d0, d1, d2) = self.alpha.alpha, self.D_scaled
+        (A0, A1, A2), (B0, B1, B2) = self.A, self.B
+        k0, k1, k2 = bessel_k0_scaled(a0), bessel_k0_scaled(a1), bessel_k0_scaled(a2)
+        pv = math.fsum((d0 * k0, d1 * k1, d2 * k2))
+        pm = math.fsum((A0 * d0 * k0, A1 * d1 * k1, A2 * d2 * k2))
+        pf = math.fsum((B0 * d0 * k0, B1 * d1 * k1, B2 * d2 * k2))
         tol = CONSISTENCY_TOL * abs(pv)
         if not (abs(pm - pv) <= tol and abs(pf - pv) <= tol):
             raise ConsistencyError(
@@ -391,11 +406,14 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     u = float(u)
     km, kf, kv = p.kappa_m, p.kappa_f, p.kappa_v
     coeffs = characteristic_coefficients(m, km, kf, kv)
-    rough = alpha_roots(coeffs, u=u)
-    xs = [_refine_root(a * a, m, km, kf, kv) for a in rough.alpha]
-    residuals = tuple(coeffs(x) for x in xs)
-    alphas = AlphaRoots(alpha=tuple(math.sqrt(x) for x in xs), residuals=residuals)
-    A, B = zip(*(_modal_from_x(x, m, km, kf, kv) for x in xs))
+    a0, a1, a2 = alpha_roots(coeffs, u=u).alpha
+    x0 = _refine_root(a0 * a0, m, km, kf, kv)
+    x1 = _refine_root(a1 * a1, m, km, kf, kv)
+    x2 = _refine_root(a2 * a2, m, km, kf, kv)
+    alphas = AlphaRoots((math.sqrt(x0), math.sqrt(x1), math.sqrt(x2)),
+                        (coeffs(x0), coeffs(x1), coeffs(x2)))
+    A, B = zip(_modal_from_x(x0, m, km, kf, kv), _modal_from_x(x1, m, km, kf, kv),
+               _modal_from_x(x2, m, km, kf, kv))
     P, Q, R, _ = boundary_vectors(alphas.alpha, A, B, km, kf, kv)
     try:
         D = solve_boundary(P, Q, R, u)

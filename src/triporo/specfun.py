@@ -30,10 +30,15 @@ def bessel_k1(x: float) -> float:
 
 def bessel_k0_scaled(x: float) -> float:
     """e^x * K_0(x), finite for all representable x > 0."""
-    return float(_k0e(_check_arg(x)))
+    # Inline domain test on the hot path; anything else gets the full check.
+    if type(x) is not float or not 0.0 < x < math.inf:
+        x = _check_arg(x)
+    return float(_k0e(x))
 
 
 def bessel_k1_scaled(x: float) -> float:
     """e^x * K_1(x), finite for all representable x > 0."""
-    return float(_k1e(_check_arg(x)))
+    if type(x) is not float or not 0.0 < x < math.inf:
+        x = _check_arg(x)
+    return float(_k1e(x))
 

@@ -213,6 +213,16 @@ def test_laplace_runs_the_consistency_check(tmp_path, monkeypatch, capsys):
     assert "model error:" in err and "u=1.0" in err
 
 
+def test_laplace_reports_unsolvable_large_u_as_model_error(tmp_path, capsys):
+    # The cubic overflows from u ~ 1.8e50 on this set and has non-finite
+    # coefficients from u ~ 1e150; both are model errors naming u.
+    for big in ("1e51", "1e200"):
+        cfg = write_cfg(tmp_path, MODEL_BLOCK + f"\n[laplace]\nu_values = 1.0 {big}\n")
+        assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error:") and f"u={float(big)!r}" in err
+
+
 def test_laplace_single_u(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN + "\n[laplace]\nu_values = 1.0\n")
     out = tmp_path / "lap.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,14 +7,15 @@ import pytest
 
 from triporo.curves import log_time_grid, pressure_curve
 from triporo.inversion import StehfestScheme
-from triporo.model import (ConsistencyError, NullSpaceError, PhysicalParams,
-                           SingularBoundaryError, TriplePorosityParams,
+from triporo.model import (ConsistencyError, MTerms, NullSpaceError,
+                           PhysicalParams, SingularBoundaryError,
+                           TriplePorosityParams, _modal_from_x,
                            boundary_vectors, characteristic_coefficients,
                            field_pressure_laplace, from_dimensionless,
                            laplace_assembly, m_terms,
                            single_medium_pressure_laplace, solve_boundary,
                            to_dimensionless, wellbore_pressure_laplace)
-from triporo.roots import solve_cubic_real
+from triporo.roots import RootClassificationError, solve_cubic_real
 from triporo.specfun import (bessel_k0, bessel_k0_scaled, bessel_k1,
                              bessel_k1_scaled)
 
@@ -241,6 +243,27 @@ def test_modal_decoupled_medium_reports_degeneracy():
         laplace_assembly(p, 1.0)
 
 
+def test_modal_rank_deficient_matrix_raises():
+    # kappa = 1, x = 1: M(x) = diag(0, 0, -1) has rank 1, so every 2x2 minor
+    # of the adjugate vanishes and no null direction is singled out.
+    with pytest.raises(NullSpaceError, match="rank < 2"):
+        _modal_from_x(1.0, MTerms(1, 0, 0, 1, 0, 2), 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("m, expected", [
+    # Columns 2 and 1 tie (max |entry| 9) above column 0 (8); column 2 = (0, 3, 9).
+    (MTerms(4, 0, 0, 4, 1, 4), (0.0 / 9.0, 3.0 / 9.0)),
+    # Columns 1 and 0 tie (8) above column 2 (5); column 1 = (7, 8, 5).
+    (MTerms(4, 2, 1, 4, 1, 4), (7.0 / 5.0, 8.0 / 5.0)),
+    # All three columns tie (9); column 2 = (9, 9, 9).
+    (MTerms(4, 0, 3, 4, 3, 4), (1.0, 1.0)),
+], ids=["cols-2-1", "cols-1-0", "all"])
+def test_modal_column_ties_prefer_column_2_then_1(m, expected):
+    # At a non-root x the adjugate columns are not parallel, so the column
+    # chosen shows in (A, B): ties go to column 2, then column 1.
+    assert _modal_from_x(1.0, m, 1.0, 1.0, 1.0) == expected
+
+
 # ------------------------------------------------------ boundary system
 
 def test_boundary_vectors_definitions(ref_params):
@@ -438,6 +461,19 @@ def test_coupling_continuity_towards_zero(ref_kwargs):
 def test_wellbore_rejects_bad_u(ref_params):
     with pytest.raises(ValueError):
         wellbore_pressure_laplace(ref_params, 0.0)
+
+
+@pytest.mark.parametrize("betas, u, cause", [
+    ((1.0, 1.0, 1.0), 1e51, OverflowError),          # (q/2)**2 overflows
+    ((0.9, 0.8, 0.7), 1e58, OverflowError),
+    ((1.0, 1.0, 1.0), 1e200, ValueError),            # non-finite coefficients
+    ((0.9, 0.8, 0.7), 1.7976931348623157e308, ValueError),
+])
+def test_unsolvable_large_u_is_a_root_classification_error(ref_kwargs, betas, u, cause):
+    p = TriplePorosityParams(**ref_kwargs).with_betas(*betas)
+    with pytest.raises(RootClassificationError, match=re.escape(f"at u={u!r}")) as info:
+        wellbore_pressure_laplace(p, u)
+    assert isinstance(info.value.__cause__, cause)
 
 
 # ------------------------------------------------------ field pressures
@@ -648,3 +684,88 @@ def test_domain_probe_curves_and_roots(values, u_first):
         alpha = laplace_assembly(p, u_first).alpha.alpha
         worst = max(abs(a - r) / r for a, r in zip(alpha, ref))
     assert worst <= 1e-7
+
+
+# ------------------------------------------------------ regression pins
+
+PIN_US = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e4, 1e6)
+# betas: wellbore_pressure_laplace of the README set at each of PIN_US, as float.hex.
+PINNED_PW_BAR = {
+    (0.9, 0.8, 0.7): (
+        "0x1.34c057d6bc937p+36", "0x1.4217333e345abp+29", "0x1.631f2268352c3p+22",
+        "0x1.71383e2cb7882p+15", "0x1.da6434bb240f2p+11", "0x1.21d40a090566bp+8",
+        "0x1.45721cf785396p+4", "0x1.3b2a8f42af1aep+0", "0x1.04d237d6ea73dp-4",
+        "0x1.79f89664e8658p-9", "0x1.39e9f31879484p-18", "0x1.ccb391a673cfdp-28",
+    ),
+    (1.0, 1.0, 1.0): (
+        "0x1.b135738cbf74cp+36", "0x1.bcb9cdf8e2a26p+29", "0x1.ae6ef399e1803p+22",
+        "0x1.9b12c48419b9fp+15", "0x1.0a33e97f94991p+12", "0x1.4316057353b6fp+8",
+        "0x1.63e12373b0217p+4", "0x1.3b2a8f42af1aep+0", "0x1.bb9e078f3b683p-5",
+        "0x1.0703d6d4e1c77p-9", "0x1.25733ff4e071fp-19", "0x1.2f70dc4701d21p-29",
+    ),
+}
+# (betas, u): A, B and D_scaled of laplace_assembly.
+PINNED_ASSEMBLY = {
+    ((0.9, 0.8, 0.7), 0.001): (
+        "0x1.f54b29c2cc555p+8", "-0x1.42d99ae3aaab1p+11", "0x1.dfb2dd9434f76p-22",
+        "0x1.3d94a5f2c4d15p+9", "0x1.388fbe46f3105p+9", "-0x1.61185793851b8p-15",
+        "0x1.843134c8cbedcp+0", "-0x1.77eee58986063p-4", "0x1.46197072a5c56p+11",
+    ),
+    ((0.9, 0.8, 0.7), 1000000.0): (
+        "0x1.c35a642a246d5p+4", "0x1.97570159414a1p+39", "-0x1.bfb09763cb867p-44",
+        "0x1.2d7df919a4fc8p+30", "-0x1.7604efad64f05p+12", "-0x1.72fb5e0d5813ap-36",
+        "0x1.f542bf9905126p-56", "0x1.301c3e2024becp-63", "0x1.442f55fbd2f03p-23",
+    ),
+    ((1.0, 1.0, 1.0), 0.001): (
+        "0x1.1bf2a7cd98ea7p+6", "-0x1.fbe2e3bd4aec3p+7", "0x1.56820e0e74372p-15",
+        "0x1.422308e78f2bfp+6", "0x1.1292e78eec17cp+6", "-0x1.66c7a04dd3749p-12",
+        "0x1.86f2bb715c86dp+3", "-0x1.1d3930243a6a6p-1", "0x1.ec4de3e3cd484p+10",
+    ),
+    ((1.0, 1.0, 1.0), 1000000.0): (
+        "0x1.cbd0e209ffce5p+8", "0x1.1d583667528a9p+46", "-0x1.3f8bbd8adc08bp-50",
+        "0x1.29d3152a883b7p+36", "-0x1.0e33e69f1c8bap+17", "-0x1.778ce2cf5c6bfp-42",
+        "0x1.4cae2fb530b50p-62", "0x1.93d7ab310618bp-71", "0x1.2cdaf7d5d50acp-23",
+    ),
+}
+PINNED_CURVE = (
+    "0x1.f3f579d32f814p-2", "0x1.12b3adb15fcd5p-1", "0x1.2d46b16812277p-1",
+    "0x1.49be60e2b07bep-1", "0x1.6821fc8e24ab6p-1", "0x1.88752711c5183p-1",
+    "0x1.aab7b7ac4a6b7p-1", "0x1.cee5a6c281b93p-1", "0x1.f4f717d7ce8b7p-1",
+    "0x1.0e703f954b8cbp+0", "0x1.23497217d6445p+0", "0x1.38fe1d92f96fcp+0",
+    "0x1.4f83e9dbb1c6ap+0", "0x1.66cf6ac242d19p+0", "0x1.7ed462bd1206ap+0",
+    "0x1.978606aa1233ep+0", "0x1.b0d740094942dp+0", "0x1.cabaeaceccbeep+0",
+    "0x1.e5240d3499d95p+0", "0x1.000303f361b6bp+1", "0x1.0daa5edca79c3p+1",
+    "0x1.1b82597741b57p+1", "0x1.298591cd4fcc3p+1", "0x1.37af0962ffc9ap+1",
+    "0x1.45fa28ef03a24p+1", "0x1.5462c16c03d8ap+1", "0x1.62e50a5480c2cp+1",
+    "0x1.717d9e6f277c6p+1", "0x1.802976bea9049p+1", "0x1.8ee5e4f63b05ap+1",
+    "0x1.9db08d2ac6d02p+1",
+)
+# The first parameter set of the benchmark's param_scan workload (seed 0).
+PIN_SCAN_PARAMS = TriplePorosityParams(
+    omega_f=0.013585080564931578, omega_v=0.001245812933676447,
+    kappa_f=0.0003337563098149278, kappa_v=3.5768481382380376e-05,
+    lambda_mf=1.365515569902938e-06, lambda_mv=7.231187945414989e-08,
+    lambda_fv=0.002544386416720936, beta_m=0.5123189082552492,
+    beta_f=0.6336178679066491, beta_v=0.7083674276185218)
+
+
+def test_laplace_chain_bits_are_pinned(ref_kwargs):
+    """Regression pin, not an accuracy test: the oracle tests judge accuracy.
+
+    The Laplace chain's outputs must stay bit-identical to the recorded
+    values: p_bar_w on the README set at u from 1e-10 to 1e6 (alpha > 700 at
+    1e6), the A, B and D_scaled of two assemblies, and the p_w of one
+    param_scan curve (1e-1..1e5 at 5 per decade, n = 12).  A change that
+    alters the arithmetic on purpose re-records them and says so.
+    """
+    for betas, pinned in PINNED_PW_BAR.items():
+        p = TriplePorosityParams(**ref_kwargs).with_betas(*betas)
+        got = [wellbore_pressure_laplace(p, u) for u in PIN_US]
+        assert got == [float.fromhex(h) for h in pinned], betas
+    for (betas, u), pinned in PINNED_ASSEMBLY.items():
+        asm = laplace_assembly(TriplePorosityParams(**ref_kwargs).with_betas(*betas), u)
+        assert [*asm.A, *asm.B, *asm.D_scaled] == [float.fromhex(h) for h in pinned], (betas, u)
+    assert max(laplace_assembly(TriplePorosityParams(**ref_kwargs), 1e6).alpha.alpha) > 700.0
+    pts = pressure_curve(PIN_SCAN_PARAMS, log_time_grid(1e-1, 1e5, 5),
+                         StehfestScheme.of_order(12))
+    assert [pt.p_w for pt in pts] == [float.fromhex(h) for h in PINNED_CURVE]
