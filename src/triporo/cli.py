@@ -253,10 +253,9 @@ def cmd_laplace(args) -> int:
     cfg = _load(args.config)
     params = _build_params(cfg)
     us = _u_grid(cfg)
-    fmt = _out_format(cfg, args)
-    if fmt != "csv":
+    if cfg.get("output", "format", fallback="csv") != "csv":
         raise ConfigError("laplace command writes csv only")
-    out = _out_path(cfg, args, "laplace", fmt)
+    out = _out_path(cfg, args, "laplace", "csv")
     lines = [LAPLACE_HEADER]
     t0 = time.perf_counter()
     for u in us:
@@ -264,7 +263,7 @@ def cmd_laplace(args) -> int:
         m = asm.mterms
         _, _, pw = asm.wellbore_pressures()
         row = [u, m.m1, m.m2, m.m3, m.m4, m.m5, m.m6,
-               *asm.alpha.alpha, *asm.A, *asm.B, *asm.D, pw]
+               *asm.alpha, *asm.A, *asm.B, *asm.D, pw]
         lines.append(",".join(repr(float(v)) for v in row))
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -299,23 +298,28 @@ def _parser() -> argparse.ArgumentParser:
         prog="triporo",
         description="Triple-porosity fractional-diffusion pressure transients")
 
-    def add_common(sub):
-        sub.add_argument("--config", required=True, help="path to the run configuration")
-        sub.add_argument("--out", help="output path (overrides [output] path)")
-        sub.add_argument("--format", choices=("csv", "json"),
-                         help="output format (overrides [output] format)")
-        sub.add_argument("--stehfest-n", type=int, dest="stehfest_n",
-                         help="Stehfest order, even, 2..20 (overrides [inversion])")
-        sub.add_argument("--quiet", action="store_true", help="suppress progress output")
+    flags = {
+        "--out": dict(help="output path (overrides [output] path)"),
+        "--format": dict(choices=("csv", "json"),
+                         help="output format (overrides [output] format)"),
+        "--stehfest-n": dict(type=int, dest="stehfest_n",
+                             help="Stehfest order, even, 2..20 (overrides [inversion])"),
+        "--quiet": dict(action="store_true", help="suppress progress output"),
+    }
+    curve_flags = ("--out", "--format", "--stehfest-n", "--quiet")
 
+    # Each subcommand takes only the flags it reads; any other is a usage error.
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn, blurb in (
-            ("curve", cmd_curve, "compute one pressure/derivative curve"),
-            ("sweep", cmd_sweep, "compute curves for a list of beta triples"),
-            ("laplace", cmd_laplace, "dump the Laplace-space assembly per u"),
-            ("dimensionless", cmd_dimensionless, "print derived dimensionless groups")):
+    for name, fn, blurb, names in (
+            ("curve", cmd_curve, "compute one pressure/derivative curve", curve_flags),
+            ("sweep", cmd_sweep, "compute curves for a list of beta triples", curve_flags),
+            ("laplace", cmd_laplace, "dump the Laplace-space assembly per u (csv)",
+             ("--out", "--quiet")),
+            ("dimensionless", cmd_dimensionless, "print derived dimensionless groups", ())):
         sub = subs.add_parser(name, help=blurb)
-        add_common(sub)
+        sub.add_argument("--config", required=True, help="path to the run configuration")
+        for flag in names:
+            sub.add_argument(flag, **flags[flag])
         sub.set_defaults(fn=fn)
     return parser
 

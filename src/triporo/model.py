@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .roots import AlphaRoots, CubicCoefficients, alpha_roots
+from .roots import CubicCoefficients, alpha_roots
 from .specfun import bessel_k0_scaled, bessel_k1_scaled
 
 #: det(boundary matrix) below SINGULAR_TOL times the magnitude of its own
@@ -297,13 +297,13 @@ def _modal_from_x(x: float, m: MTerms, kappa_m: float, kappa_f: float,
 
 def boundary_vectors(alpha, A, B, kappa_m: float, kappa_f: float,
                      kappa_v: float):
-    """Scaled boundary-system rows (P, Q, R) and the modal totals E.
+    """Scaled boundary-system rows (P, Q, R).
 
-    P_i = alpha_i K1e(alpha_i) E_i with E_i = kappa_m A_i + kappa_f B_i +
-    kappa_v; Q_i = (A_i - 1) K0e(alpha_i); R_i = (B_i - 1) K0e(alpha_i),
-    where K0e and K1e are the e^{alpha_i}-scaled Bessel functions, so row
-    entry i carries an implicit e^{-alpha_i}.  The unscaled rows underflow
-    once alpha_i exceeds ~740 and are not formed.
+    P_i = alpha_i K1e(alpha_i) E_i with the modal totals E_i = kappa_m A_i
+    + kappa_f B_i + kappa_v; Q_i = (A_i - 1) K0e(alpha_i); R_i = (B_i - 1)
+    K0e(alpha_i), where K0e and K1e are the e^{alpha_i}-scaled Bessel
+    functions, so row entry i carries an implicit e^{-alpha_i}.  The
+    unscaled rows underflow once alpha_i exceeds ~740 and are not formed.
     """
     (a0, a1, a2), (A0, A1, A2), (B0, B1, B2) = alpha, A, B
     e0 = kappa_m * A0 + kappa_f * B0 + kappa_v
@@ -313,8 +313,7 @@ def boundary_vectors(alpha, A, B, kappa_m: float, kappa_f: float,
     k10, k11, k12 = bessel_k1_scaled(a0), bessel_k1_scaled(a1), bessel_k1_scaled(a2)
     return ((a0 * k10 * e0, a1 * k11 * e1, a2 * k12 * e2),
             ((A0 - 1.0) * k00, (A1 - 1.0) * k01, (A2 - 1.0) * k02),
-            ((B0 - 1.0) * k00, (B1 - 1.0) * k01, (B2 - 1.0) * k02),
-            (e0, e1, e2))
+            ((B0 - 1.0) * k00, (B1 - 1.0) * k01, (B2 - 1.0) * k02))
 
 
 def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
@@ -367,7 +366,7 @@ class LaplaceAssembly:
 
     u: float
     mterms: MTerms
-    alpha: AlphaRoots
+    alpha: tuple[float, float, float]
     A: tuple[float, float, float]
     B: tuple[float, float, float]
     P_scaled: tuple[float, float, float]
@@ -377,7 +376,7 @@ class LaplaceAssembly:
 
     @property
     def D(self) -> tuple[float, float, float]:
-        (d0, d1, d2), (a0, a1, a2) = self.D_scaled, self.alpha.alpha
+        (d0, d1, d2), (a0, a1, a2) = self.D_scaled, self.alpha
         return _unscale_weight(d0, a0), _unscale_weight(d1, a1), _unscale_weight(d2, a2)
 
     def wellbore_pressures(self) -> tuple[float, float, float]:
@@ -386,7 +385,7 @@ class LaplaceAssembly:
         Their disagreement beyond CONSISTENCY_TOL, or a non-finite value,
         raises ConsistencyError.
         """
-        (a0, a1, a2), (d0, d1, d2) = self.alpha.alpha, self.D_scaled
+        (a0, a1, a2), (d0, d1, d2) = self.alpha, self.D_scaled
         (A0, A1, A2), (B0, B1, B2) = self.A, self.B
         k0, k1, k2 = bessel_k0_scaled(a0), bessel_k0_scaled(a1), bessel_k0_scaled(a2)
         pv = math.fsum((d0 * k0, d1 * k1, d2 * k2))
@@ -406,20 +405,19 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     u = float(u)
     km, kf, kv = p.kappa_m, p.kappa_f, p.kappa_v
     coeffs = characteristic_coefficients(m, km, kf, kv)
-    a0, a1, a2 = alpha_roots(coeffs, u=u).alpha
+    a0, a1, a2 = alpha_roots(coeffs, u=u)
     x0 = _refine_root(a0 * a0, m, km, kf, kv)
     x1 = _refine_root(a1 * a1, m, km, kf, kv)
     x2 = _refine_root(a2 * a2, m, km, kf, kv)
-    alphas = AlphaRoots((math.sqrt(x0), math.sqrt(x1), math.sqrt(x2)),
-                        (coeffs(x0), coeffs(x1), coeffs(x2)))
-    A, B = zip(_modal_from_x(x0, m, km, kf, kv), _modal_from_x(x1, m, km, kf, kv),
-               _modal_from_x(x2, m, km, kf, kv))
-    P, Q, R, _ = boundary_vectors(alphas.alpha, A, B, km, kf, kv)
+    alpha = (math.sqrt(x0), math.sqrt(x1), math.sqrt(x2))
     try:
+        A, B = zip(_modal_from_x(x0, m, km, kf, kv), _modal_from_x(x1, m, km, kf, kv),
+                   _modal_from_x(x2, m, km, kf, kv))
+        P, Q, R = boundary_vectors(alpha, A, B, km, kf, kv)
         D = solve_boundary(P, Q, R, u)
-    except SingularBoundaryError as exc:
-        raise SingularBoundaryError(f"{exc} (params={p!r})") from exc
-    return LaplaceAssembly(u=u, mterms=m, alpha=alphas, A=A, B=B,
+    except (NullSpaceError, SingularBoundaryError) as exc:
+        raise type(exc)(f"{exc} (u={u!r}, params={p!r})") from exc
+    return LaplaceAssembly(u=u, mterms=m, alpha=alpha, A=A, B=B,
                            P_scaled=P, Q_scaled=Q, R_scaled=R, D_scaled=D)
 
 
@@ -439,7 +437,7 @@ def field_pressure_laplace(p: TriplePorosityParams, u: float,
     # the net factor is e^{-alpha (r-1)}, which underflows harmlessly.
     terms = []
     for i in range(3):
-        a = asm.alpha.alpha[i]
+        a = asm.alpha[i]
         terms.append(asm.D_scaled[i] * bessel_k0_scaled(a * r_d)
                      * math.exp(-a * (r_d - 1.0)))
     pv = math.fsum(terms)

@@ -11,21 +11,18 @@ and, when x1 dominates, q1 = (q0 - c1)/x1, so the small roots stay accurate.
 import math
 from typing import NamedTuple
 
-#: Imaginary parts at or below COMPLEX_TOL * (1 + |Re|) are rounding noise.
-COMPLEX_TOL = 1e-9
-
-#: Real roots closer than this relative gap are merged arithmetically.
-DEDUP_TOL = 1e-9
+#: Roots closer than this relative gap are refused as nearly repeated.
+REPEAT_TOL = 1e-9
 
 #: Relative residual bound guaranteed for returned roots.
 RESIDUAL_TOL = 1e-10
 
 
 class RootClassificationError(Exception):
-    """A characteristic root is complex or non-positive beyond tolerance.
+    """The characteristic roots are not three distinct positive reals.
 
-    Signals a parameter set outside the regime where the model's three
-    positive real roots exist.
+    Signals a parameter set outside the regime where the model's modal
+    basis exists.
     """
 
 
@@ -44,13 +41,6 @@ class CubicCoefficients(NamedTuple):
         """Natural magnitude of the polynomial's terms at x."""
         return max(abs(self.c3 * x**3), abs(self.c2 * x**2),
                    abs(self.c1 * x), abs(self.c0))
-
-
-class AlphaRoots(NamedTuple):
-    """The three positive roots alpha_i (ascending) with residuals."""
-
-    alpha: tuple[float, float, float]
-    residuals: tuple[float, float, float]
 
 
 def _cbrt(x: float) -> float:
@@ -76,12 +66,12 @@ def _polish(c: CubicCoefficients, x: float) -> float:
     return x
 
 
-def solve_cubic_real(c: CubicCoefficients) -> tuple[list[float], list[complex]]:
-    """All three roots, split into classified-real (sorted) and complex.
+def solve_cubic_real(c: CubicCoefficients) -> tuple[float, float, float]:
+    """The three real roots of the cubic, ascending.
 
-    Roots with imaginary magnitude <= COMPLEX_TOL * (1 + |Re|) are
-    classified real and their imaginary part discarded.  Near-equal real
-    roots (relative gap < DEDUP_TOL) are deduplicated arithmetically.
+    Raises ValueError when the coefficients are not finite, the leading one
+    is degenerate, or the deflated quadratic has a complex pair.  Whether
+    the roots suit the model is for alpha_roots to judge.
     """
     c3, c2, c1, c0 = c
     if not (math.isfinite(c3) and math.isfinite(c2) and math.isfinite(c1)
@@ -98,7 +88,8 @@ def solve_cubic_real(c: CubicCoefficients) -> tuple[list[float], list[complex]]:
 
     # Seed one root from the closed form: for three real roots the largest
     # trigonometric root is the best conditioned; otherwise the single
-    # Cardano real root (with the stable v = -p/(3u) pairing).
+    # Cardano real root (with the stable v = -p/(3u) pairing; disc > 0 keeps
+    # u away from zero).
     if disc <= 0.0:
         m = math.sqrt(max(-p / 3.0, 0.0))
         if m == 0.0:
@@ -116,7 +107,7 @@ def solve_cubic_real(c: CubicCoefficients) -> tuple[list[float], list[complex]]:
         w = math.sqrt(disc)
         s = -q / 2.0
         u = _cbrt(s + w) if s >= 0.0 else _cbrt(s - w)
-        v = 0.0 if u == 0.0 else -p / (3.0 * u)
+        v = -p / (3.0 * u)
         x1 = u + v + shift
     x1 = _polish(c, x1)
 
@@ -128,60 +119,45 @@ def solve_cubic_real(c: CubicCoefficients) -> tuple[list[float], list[complex]]:
         q0 = -c0 / x1
         q1 = (q0 - c1) / x1 if x1 * x1 * abs(c3) >= abs(q0) else c2 + c3 * x1
     disc2 = q1 * q1 - 4.0 * c3 * q0
-
-    real = [x1]
-    cplx: list[complex] = []
-    if disc2 >= 0.0:
-        sq = math.sqrt(disc2)
-        qq = -0.5 * (q1 + math.copysign(sq, q1)) if q1 != 0.0 else -0.5 * sq
-        r1, r2 = (qq / c3, q0 / qq) if qq != 0.0 else (0.0, 0.0)
-        real += [_polish(c, r1), _polish(c, r2)]
-    else:
-        re = -q1 / (2.0 * c3)
-        im = math.sqrt(-disc2) / (2.0 * abs(c3))
-        if im <= COMPLEX_TOL * (1.0 + abs(re)):
-            real += [_polish(c, re)] * 2
-        else:
-            cplx = [complex(re, im), complex(re, -im)]
-
-    real.sort()
-    for i in range(len(real) - 1):
-        if real[i + 1] - real[i] <= DEDUP_TOL * max(abs(real[i]), abs(real[i + 1])):
-            mid = 0.5 * (real[i] + real[i + 1])
-            real[i] = real[i + 1] = mid
-    return real, cplx
+    if not disc2 >= 0.0:
+        raise ValueError(f"complex pair: deflated discriminant {disc2!r} "
+                         f"beside the real root x={x1!r}")
+    sq = math.sqrt(disc2)
+    qq = -0.5 * (q1 + math.copysign(sq, q1)) if q1 != 0.0 else -0.5 * sq
+    r1, r2 = (qq / c3, q0 / qq) if qq != 0.0 else (0.0, 0.0)
+    return tuple(sorted((x1, _polish(c, r1), _polish(c, r2))))
 
 
-def alpha_roots(c: CubicCoefficients, u: float | None = None) -> AlphaRoots:
-    """The three alpha_i = sqrt(x_i) for strictly positive real roots x_i.
+def alpha_roots(c: CubicCoefficients,
+                u: float | None = None) -> tuple[float, float, float]:
+    """The three alpha_i = sqrt(x_i) (ascending) of the cubic's roots x_i.
 
-    Raises RootClassificationError when any root is complex beyond
-    tolerance or has non-positive real part, and when the cubic cannot be
-    solved in doubles (a non-finite coefficient or an overflow, as at very
-    large u; the cause is chained); the offending root and the Laplace
-    variable u (when supplied) are reported.
+    The model's modal basis needs three distinct positive real roots.
+    RootClassificationError, naming the Laplace variable u when supplied,
+    refuses everything else: a cubic that cannot be solved in doubles (a
+    non-finite coefficient, an overflow at very large u or a complex pair;
+    the cause is chained), a non-positive root, two roots within REPEAT_TOL
+    of each other, and a root that fails the residual bound.
     """
     where = "" if u is None else f" at u={u!r}"
     try:
-        real, cplx = solve_cubic_real(c)
+        x0, x1, x2 = solve_cubic_real(c)
     except (ValueError, OverflowError) as exc:
         raise RootClassificationError(
             f"characteristic equation cannot be solved{where}: {exc}") from exc
-    if cplx:
-        raise RootClassificationError(
-            f"characteristic equation has complex roots {cplx}{where}")
-    x0, x1, x2 = real
-    if x0 <= 0.0 or x1 <= 0.0 or x2 <= 0.0:
+    if not (x0 > 0.0 and x1 > 0.0 and x2 > 0.0):
         raise RootClassificationError(
             f"characteristic equation has non-positive roots "
-            f"{[x for x in real if x <= 0.0]}{where}")
-    residuals = []
-    for x in real:
+            f"{[x for x in (x0, x1, x2) if not x > 0.0]}{where}")
+    if not (x1 - x0 > REPEAT_TOL * x1 and x2 - x1 > REPEAT_TOL * x2):
+        raise RootClassificationError(
+            f"characteristic equation has nearly repeated roots "
+            f"{[x0, x1, x2]}{where}")
+    for x in (x0, x1, x2):
         res = c(x)
         scale = c.scale_at(x)
-        if abs(res) > RESIDUAL_TOL * scale:
+        if not abs(res) <= RESIDUAL_TOL * scale:
             raise RootClassificationError(
                 f"root x={x!r} fails residual bound: |{res!r}| > "
                 f"{RESIDUAL_TOL} * {scale!r}{where}")
-        residuals.append(res)
-    return AlphaRoots((math.sqrt(x0), math.sqrt(x1), math.sqrt(x2)), tuple(residuals))
+    return math.sqrt(x0), math.sqrt(x1), math.sqrt(x2)

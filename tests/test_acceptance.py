@@ -159,10 +159,10 @@ def test_criterion_3_laplace_structural_residuals():
             m = asm.mterms
             from triporo.model import characteristic_coefficients
             c = characteristic_coefficients(m, km, kf, kv)
-            for a in asm.alpha.alpha:
+            for a in asm.alpha:
                 x = a * a
                 worst_char = max(worst_char, abs(c(x)) / c.scale_at(x))
-            for i, a in enumerate(asm.alpha.alpha):
+            for i, a in enumerate(asm.alpha):
                 x = a * a
                 M = np.array([[km * x - m.m1, m.m2, m.m3],
                               [m.m2, kf * x - m.m4, m.m5],

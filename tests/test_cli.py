@@ -280,6 +280,31 @@ def test_laplace_requires_section(tmp_path):
     assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 1
 
 
+def test_laplace_refuses_json_in_config(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MODEL_BLOCK + "\n[laplace]\nu_values = 1.0\n"
+                    "\n[output]\nformat = json\n")
+    out = tmp_path / "l.csv"
+    assert main(["laplace", "--config", cfg, "--out", str(out)]) == 1
+    assert "csv only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("laplace", ["--format", "csv"]),
+    ("laplace", ["--stehfest-n", "4"]),
+    ("dimensionless", ["--out", "d.txt"]),
+    ("dimensionless", ["--format", "json"]),
+    ("dimensionless", ["--stehfest-n", "4"]),
+    ("dimensionless", ["--quiet"]),
+])
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    cfg = write_cfg(tmp_path, PHYSICAL_BLOCK + "\n[laplace]\nu_values = 1.0\n")
+    assert main([command, "--config", cfg, *flag]) == 1
+    err = capsys.readouterr()
+    assert "unrecognized arguments" in err.err and err.out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+
 def test_dimensionless_symmetric(tmp_path, capsys):
     sym = """\
 [physical]

@@ -141,17 +141,15 @@ def test_characteristic_zero_coupling_factors():
     p = TriplePorosityParams(0.02, 0.8, 0.75, 0.02, 0.0, 0.0, 0.0)
     m = m_terms(p, 1.0)
     c = characteristic_coefficients(m, p.kappa_m, p.kappa_f, p.kappa_v)
-    real, cplx = solve_cubic_real(c)
     expected = sorted((m.m1 / p.kappa_m, m.m4 / p.kappa_f, m.m6 / p.kappa_v))
-    assert not cplx
-    assert real == pytest.approx(expected, rel=1e-10)
+    assert solve_cubic_real(c) == pytest.approx(expected, rel=1e-10)
 
 
 def test_determinant_vanishes_at_roots(ref_params):
     asm = laplace_assembly(ref_params, 1.0)
     m = asm.mterms
     km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
-    for a in asm.alpha.alpha:
+    for a in asm.alpha:
         x = a * a
         M = np.array([[km * x - m.m1, m.m2, m.m3],
                       [m.m2, kf * x - m.m4, m.m5],
@@ -169,7 +167,7 @@ def test_modal_null_space_residual_componentwise(ref_params):
     m = m_terms(ref_params, 1.0)
     asm = laplace_assembly(ref_params, 1.0)
     km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
-    for i, a in enumerate(asm.alpha.alpha):
+    for i, a in enumerate(asm.alpha):
         x = a * a
         M = np.array([[km * x - m.m1, m.m2, m.m3],
                       [m.m2, kf * x - m.m4, m.m5],
@@ -207,7 +205,7 @@ def test_modal_closed_form_cross_check(ref_params):
     m = m_terms(ref_params, 1.0)
     asm = laplace_assembly(ref_params, 1.0)
     for i in (0, 2):
-        a = asm.alpha.alpha[i]
+        a = asm.alpha[i]
         A_cf, B_cf = modal_coefficients_closed_form(a, m, ref_params.kappa_m,
                                                     ref_params.kappa_f)
         assert A_cf == pytest.approx(asm.A[i], rel=1e-6)
@@ -220,7 +218,7 @@ def test_modal_closed_form_wide_sweep(ref_params):
     for u in np.logspace(-3, 3, 13):
         m = m_terms(ref_params, float(u))
         asm = laplace_assembly(ref_params, float(u))
-        for i, a in enumerate(asm.alpha.alpha):
+        for i, a in enumerate(asm.alpha):
             x = a * a
             d11 = ref_params.kappa_m * x - m.m1
             d22 = ref_params.kappa_f * x - m.m4
@@ -239,7 +237,7 @@ def test_modal_decoupled_medium_reports_degeneracy():
     # With all couplings exactly zero each null vector is axis-directed and
     # C-normalization must fail loudly.
     p = TriplePorosityParams(0.02, 0.8, 0.75, 0.02, 0.0, 0.0, 0.0)
-    with pytest.raises(NullSpaceError, match="decoupled medium"):
+    with pytest.raises(NullSpaceError, match=r"decoupled medium.*\(u=1\.0, params="):
         laplace_assembly(p, 1.0)
 
 
@@ -271,10 +269,10 @@ def test_boundary_vectors_definitions(ref_params):
     A = (1.0, 2.0, 3.0)
     B = (1.0, 0.5, -1.0)
     km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
-    P, Q, R, E = boundary_vectors(alpha, A, B, km, kf, kv)
+    P, Q, R = boundary_vectors(alpha, A, B, km, kf, kv)
+    E = [km * A[i] + kf * B[i] + kv for i in range(3)]
     assert Q[0] == 0.0  # A_1 = 1 exactly
     for i in range(3):
-        assert E[i] == pytest.approx(km * A[i] + kf * B[i] + kv, rel=1e-15)
         assert P[i] == pytest.approx(alpha[i] * bessel_k1_scaled(alpha[i]) * E[i],
                                      rel=1e-14)
         assert Q[i] == pytest.approx((A[i] - 1.0) * bessel_k0_scaled(alpha[i]), rel=1e-14)
@@ -287,7 +285,8 @@ def test_boundary_vectors_scaled_consistency(ref_params):
     B = (0.9, 0.5, -1.0)
     km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
     # Removing the implicit e^{-alpha_i} recovers the unscaled definitions.
-    Ps, Qs, Rs, E = boundary_vectors(alpha, A, B, km, kf, kv)
+    Ps, Qs, Rs = boundary_vectors(alpha, A, B, km, kf, kv)
+    E = [km * A[i] + kf * B[i] + kv for i in range(3)]
     for i in range(3):
         f = math.exp(-alpha[i])
         assert Ps[i] * f == pytest.approx(alpha[i] * bessel_k1(alpha[i]) * E[i], rel=1e-13)
@@ -326,7 +325,7 @@ def test_boundary_residuals_on_reference_set(ref_params):
     assert abs(qd) <= 1e-10 * scale_q
     assert abs(rd) <= 1e-10 * scale_r
     # unscaled rows at moderate alpha satisfy the same system
-    P_unscaled = [p * math.exp(-a) for p, a in zip(P, asm.alpha.alpha)]
+    P_unscaled = [p * math.exp(-a) for p, a in zip(P, asm.alpha)]
     assert math.fsum(p * d for p, d in zip(P_unscaled, asm.D)) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -476,6 +475,27 @@ def test_unsolvable_large_u_is_a_root_classification_error(ref_kwargs, betas, u,
     assert isinstance(info.value.__cause__, cause)
 
 
+@pytest.mark.parametrize("kwargs, u, message", [
+    # No matrix storage (omega_m = 0): two roots ~u/kappa agree to ~1e-16.
+    (dict(omega_f=0.5, omega_v=0.5, kappa_f=0.3, kappa_v=0.3,
+          lambda_mf=1.0, lambda_mv=1.0, lambda_fv=1.0), 1e27, "nearly repeated"),
+    (dict(omega_f=0.5, omega_v=0.5, kappa_f=0.3, kappa_v=0.3,
+          lambda_mf=1.0, lambda_mv=1.0, lambda_fv=1.0), 1e30, "nearly repeated"),
+    # Decoupled media with equal ratios: a triple root the cubic splits
+    # into a real root and a complex pair.
+    (dict(omega_f=0.3, omega_v=0.3, kappa_f=0.3, kappa_v=0.3,
+          lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0), 1e-6, "complex"),
+    # No fracture or vug storage at the top of the double range: the closed
+    # form's NaN must be refused rather than reach the modal step.
+    (dict(omega_f=0.0, omega_v=0.0, kappa_f=0.3, kappa_v=0.3,
+          lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0), 1.7e308, "cannot be solved"),
+], ids=["omega_m0-1e27", "omega_m0-1e30", "decoupled-equal-ratios", "nan-roots"])
+def test_inadmissible_roots_are_refused_before_the_boundary_solve(kwargs, u, message):
+    with pytest.raises(RootClassificationError) as info:
+        laplace_assembly(TriplePorosityParams(**kwargs), u)
+    assert message in str(info.value) and f"u={u!r}" in str(info.value)
+
+
 # ------------------------------------------------------ field pressures
 
 def test_field_pressure_at_wellbore_equals_pw(ref_params):
@@ -504,15 +524,15 @@ def test_field_pressure_satisfies_laplace_system(ref_params):
         asm = laplace_assembly(p, u)
         for rd in (1.0, 2.0, 5.0):
             terms = [asm.D_scaled[i]
-                     * bessel_k0_scaled(asm.alpha.alpha[i] * rd)
-                     * math.exp(-asm.alpha.alpha[i] * (rd - 1.0))
+                     * bessel_k0_scaled(asm.alpha[i] * rd)
+                     * math.exp(-asm.alpha[i] * (rd - 1.0))
                      for i in range(3)]
             pm = math.fsum(asm.A[i] * terms[i] for i in range(3))
             pf = math.fsum(asm.B[i] * terms[i] for i in range(3))
             pv = math.fsum(terms)
-            lap_m = math.fsum(asm.A[i] * terms[i] * asm.alpha.alpha[i] ** 2 for i in range(3))
-            lap_f = math.fsum(asm.B[i] * terms[i] * asm.alpha.alpha[i] ** 2 for i in range(3))
-            lap_v = math.fsum(terms[i] * asm.alpha.alpha[i] ** 2 for i in range(3))
+            lap_m = math.fsum(asm.A[i] * terms[i] * asm.alpha[i] ** 2 for i in range(3))
+            lap_f = math.fsum(asm.B[i] * terms[i] * asm.alpha[i] ** 2 for i in range(3))
+            lap_v = math.fsum(terms[i] * asm.alpha[i] ** 2 for i in range(3))
             r_m = p.omega_m * u ** p.beta_m * pm - (
                 km * lap_m + p.lambda_mf * (pf - pm) + p.lambda_mv * (pv - pm))
             r_f = p.omega_f * u ** p.beta_f * pf - (
@@ -643,7 +663,7 @@ def test_physical_params_validation():
 def test_assembly_unscaled_views(ref_params):
     asm = laplace_assembly(ref_params, 1.0)
     for i in range(3):
-        f = math.exp(-asm.alpha.alpha[i])
+        f = math.exp(-asm.alpha[i])
         assert asm.D[i] == pytest.approx(asm.D_scaled[i] / f, rel=1e-13)
 
 
@@ -681,7 +701,7 @@ def test_domain_probe_curves_and_roots(values, u_first):
             for j in range(3):
                 S[i, j] *= s[i] * s[j]
         ref = sorted(mp.sqrt(x) for x in mp.eigsy(S, eigvals_only=True))
-        alpha = laplace_assembly(p, u_first).alpha.alpha
+        alpha = laplace_assembly(p, u_first).alpha
         worst = max(abs(a - r) / r for a, r in zip(alpha, ref))
     assert worst <= 1e-7
 
@@ -765,7 +785,7 @@ def test_laplace_chain_bits_are_pinned(ref_kwargs):
     for (betas, u), pinned in PINNED_ASSEMBLY.items():
         asm = laplace_assembly(TriplePorosityParams(**ref_kwargs).with_betas(*betas), u)
         assert [*asm.A, *asm.B, *asm.D_scaled] == [float.fromhex(h) for h in pinned], (betas, u)
-    assert max(laplace_assembly(TriplePorosityParams(**ref_kwargs), 1e6).alpha.alpha) > 700.0
+    assert max(laplace_assembly(TriplePorosityParams(**ref_kwargs), 1e6).alpha) > 700.0
     pts = pressure_curve(PIN_SCAN_PARAMS, log_time_grid(1e-1, 1e5, 5),
                          StehfestScheme.of_order(12))
     assert [pt.p_w for pt in pts] == [float.fromhex(h) for h in PINNED_CURVE]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from triporo.model import characteristic_coefficients, m_terms
-from triporo.roots import (AlphaRoots, CubicCoefficients,
-                           RootClassificationError, alpha_roots,
-                           solve_cubic_real)
+from triporo.roots import (CubicCoefficients, RootClassificationError,
+                           alpha_roots, solve_cubic_real)
 
 
 def from_roots(r, c3=1.0):
@@ -16,22 +15,22 @@ def from_roots(r, c3=1.0):
 
 
 def test_three_distinct_real_roots():
-    real, cplx = solve_cubic_real(CubicCoefficients(1.0, -14.0, 49.0, -36.0))
-    assert cplx == []
-    assert real == pytest.approx([1.0, 4.0, 9.0], rel=1e-12)
+    roots = solve_cubic_real(CubicCoefficients(1.0, -14.0, 49.0, -36.0))
+    assert roots == pytest.approx((1.0, 4.0, 9.0), rel=1e-12)
 
 
 def test_triple_root():
-    real, cplx = solve_cubic_real(CubicCoefficients(1.0, -3.0, 3.0, -1.0))
-    assert cplx == []
-    assert real == pytest.approx([1.0, 1.0, 1.0], rel=1e-7)
+    # The solver returns the triple root; alpha_roots refuses it, since a
+    # repeated root leaves the modal basis short of three distinct modes.
+    c = CubicCoefficients(1.0, -3.0, 3.0, -1.0)
+    assert solve_cubic_real(c) == pytest.approx((1.0, 1.0, 1.0), rel=1e-7)
+    with pytest.raises(RootClassificationError, match="nearly repeated"):
+        alpha_roots(c)
 
 
 def test_one_real_two_complex():
-    real, cplx = solve_cubic_real(CubicCoefficients(1.0, 0.0, 1.0, 0.0))
-    assert real == [0.0]
-    assert sorted(z.imag for z in cplx) == pytest.approx([-1.0, 1.0], rel=1e-12)
-    assert [z.real for z in cplx] == pytest.approx([0.0, 0.0], abs=1e-12)
+    with pytest.raises(ValueError, match="complex pair"):
+        solve_cubic_real(CubicCoefficients(1.0, 0.0, 1.0, 0.0))
 
 
 def test_degenerate_leading_coefficient():
@@ -39,12 +38,18 @@ def test_degenerate_leading_coefficient():
         solve_cubic_real(CubicCoefficients(0.0, 1.0, 1.0, 1.0))
 
 
-def test_near_equal_roots_deduplicated():
-    real, cplx = solve_cubic_real(from_roots((1.0, 1.0 + 1e-12, 5.0)))
-    assert cplx == []
-    assert real[0] == real[1]
-    assert real[0] == pytest.approx(1.0, rel=1e-6)
-    assert real[2] == pytest.approx(5.0, rel=1e-12)
+def test_near_equal_roots_refused():
+    c = from_roots((1.0, 1.0 + 1e-12, 5.0))
+    roots = solve_cubic_real(c)
+    assert roots[:2] == pytest.approx((1.0, 1.0), rel=1e-6)
+    assert roots[2] == pytest.approx(5.0, rel=1e-12)
+    with pytest.raises(RootClassificationError, match="nearly repeated.*u=2.0"):
+        alpha_roots(c, u=2.0)
+
+
+def test_roots_just_beyond_the_repeat_gap_are_accepted():
+    out = alpha_roots(from_roots((1.0, 1.0 + 1e-6, 5.0)))
+    assert [a * a for a in out] == pytest.approx((1.0, 1.0 + 1e-6, 5.0), rel=1e-8)
 
 
 def test_brute_force_recovery():
@@ -58,8 +63,7 @@ def test_brute_force_recovery():
             if r[1] / r[0] > 1.01 and r[2] / r[1] > 1.01:
                 break
         c3 = 10.0 ** rng.uniform(-3, 3) * rng.choice([-1.0, 1.0])
-        real, cplx = solve_cubic_real(from_roots(tuple(r), c3))
-        assert not cplx
+        real = solve_cubic_real(from_roots(tuple(r), c3))
         worst = max(worst, float(np.max(np.abs(np.array(real) / r - 1.0))))
     assert worst <= 1e-7
 
@@ -75,17 +79,15 @@ def test_close_pair_under_dominant_root_stays_real():
         pair = (b, b * (1.0 + 10.0 ** rng.uniform(-4, -2)))
         r = np.sort([*pair, b * 10.0 ** rng.uniform(6, 12)])
         c3 = 10.0 ** rng.uniform(-3, 3) * rng.choice([-1.0, 1.0])
-        real, cplx = solve_cubic_real(from_roots(tuple(r), c3))
-        assert cplx == [], (r, cplx)
+        real = solve_cubic_real(from_roots(tuple(r), c3))
         worst = max(worst, float(np.max(np.abs(np.array(real) / r - 1.0))))
     assert worst <= 1e-10
 
 
 def test_complex_pair_under_dominant_real_root():
     # One real root two to ten decades above the modulus of a complex
-    # pair, where q1 = c2 + c3*x1 would cancel.
+    # pair, where q1 = c2 + c3*x1 would cancel: the pair is still refused.
     rng = np.random.RandomState(12)
-    worst = 0.0
     for _ in range(2000):
         modulus = 10.0 ** rng.uniform(-6, 3)
         theta = rng.uniform(0.1, math.pi - 0.1)
@@ -95,11 +97,8 @@ def test_complex_pair_under_dominant_real_root():
         c = CubicCoefficients(c3, -c3 * (x1 + 2.0 * z.real),
                               c3 * (2.0 * z.real * x1 + abs(z) ** 2),
                               -c3 * x1 * abs(z) ** 2)
-        real, cplx = solve_cubic_real(c)
-        assert len(real) == 1 and len(cplx) == 2
-        upper = max(cplx, key=lambda w: w.imag)
-        worst = max(worst, abs(upper - z) / abs(z))
-    assert worst <= 1e-12
+        with pytest.raises(ValueError, match="complex pair"):
+            solve_cubic_real(c)
 
 
 def test_vieta_identities():
@@ -110,8 +109,7 @@ def test_vieta_identities():
             if r[1] / r[0] > 1.01 and r[2] / r[1] > 1.01:
                 break
         c = from_roots(tuple(r), c3=10.0 ** rng.uniform(-3, 3))
-        real, _ = solve_cubic_real(c)
-        x = np.array(real)
+        x = np.array(solve_cubic_real(c))
         assert x.sum() == pytest.approx(-c.c2 / c.c3, rel=1e-8)
         assert x[0] * x[1] + x[0] * x[2] + x[1] * x[2] == pytest.approx(
             c.c1 / c.c3, rel=1e-8)
@@ -120,15 +118,14 @@ def test_vieta_identities():
 
 def test_alpha_roots_square_roots():
     out = alpha_roots(from_roots((1.0, 4.0, 9.0)))
-    assert isinstance(out, AlphaRoots)
-    assert out.alpha == pytest.approx([1.0, 2.0, 3.0], rel=1e-12)
+    assert isinstance(out, tuple)
+    assert out == pytest.approx((1.0, 2.0, 3.0), rel=1e-12)
 
 
 def test_alpha_roots_residual_bound():
     c = from_roots((1e-4, 2.5, 9e4))
-    out = alpha_roots(c)
-    for a, res in zip(out.alpha, out.residuals):
-        assert abs(res) <= 1e-10 * c.scale_at(a * a)
+    for a in alpha_roots(c):
+        assert abs(c(a * a)) <= 1e-10 * c.scale_at(a * a)
 
 
 def test_alpha_roots_rejects_complex():
@@ -148,5 +145,5 @@ def test_alpha_product_matches_vieta_on_reference_set(ref_params):
     c = characteristic_coefficients(m, ref_params.kappa_m, ref_params.kappa_f,
                                     ref_params.kappa_v)
     out = alpha_roots(c, u=1.0)
-    assert all(a > 0 for a in out.alpha)
-    assert math.prod(out.alpha) == pytest.approx(math.sqrt(-c.c0 / c.c3), rel=1e-10)
+    assert all(a > 0 for a in out)
+    assert math.prod(out) == pytest.approx(math.sqrt(-c.c0 / c.c3), rel=1e-10)
