@@ -25,7 +25,8 @@ def log_time_grid(t_min: float, t_max: float, points_per_decade: int) -> list[fl
         raise ValueError(f"t_min must be positive, got {t_min!r}")
     if not (t_max > t_min and math.isfinite(t_max)):
         raise ValueError(f"t_max must exceed t_min, got {t_max!r}")
-    if points_per_decade < 1 or points_per_decade != int(points_per_decade):
+    if (points_per_decade < 1 or not math.isfinite(points_per_decade)
+            or points_per_decade != int(points_per_decade)):
         raise ValueError(f"points_per_decade must be an integer >= 1, got {points_per_decade!r}")
     lo, hi = math.log10(t_min), math.log10(t_max)
     n = max(1, round((hi - lo) * points_per_decade)) + 1

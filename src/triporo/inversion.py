@@ -45,7 +45,8 @@ class TransformEvaluationError(RuntimeError):
 
 
 def _check_order(n: int) -> int:
-    if n != int(n) or n % 2 != 0 or not MIN_ORDER <= n <= MAX_ORDER:
+    if (not math.isfinite(n) or n != int(n) or n % 2 != 0
+            or not MIN_ORDER <= n <= MAX_ORDER):
         raise ValueError(
             f"Stehfest order must be an even integer in [{MIN_ORDER}, {MAX_ORDER}], "
             f"got {n!r}")

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .roots import CubicCoefficients, alpha_roots
+from .roots import CubicCoefficients, RootClassificationError, alpha_roots
 from .specfun import bessel_k0_scaled, bessel_k1_scaled
 
 #: det(boundary matrix) below SINGULAR_TOL times the magnitude of its own
@@ -332,7 +332,7 @@ def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
     scale = max(abs(t0), abs(t1), abs(t2), abs(t3), abs(t4), abs(t5))
     if not abs(det) > SINGULAR_TOL * scale:
         raise SingularBoundaryError(
-            f"boundary system singular at u={u!r}: |det|={abs(det)!r} "
+            f"boundary system singular: |det|={abs(det)!r} "
             f"<= {SINGULAR_TOL} * row scale {scale!r}")
     ud = u * det
     return ((q1 * r2 - q2 * r1) / ud,
@@ -346,10 +346,10 @@ def _unscale_weight(d_scaled: float, alpha: float) -> float:
         return 0.0
     if alpha <= 700.0:
         return d_scaled * math.exp(alpha)
-    t = alpha + math.log(abs(d_scaled))
-    if t >= 709.0:
+    try:
+        return math.copysign(math.exp(alpha + math.log(abs(d_scaled))), d_scaled)
+    except OverflowError:
         return math.copysign(math.inf, d_scaled)
-    return math.copysign(math.exp(t), d_scaled)
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,7 @@ class LaplaceAssembly:
     D_scaled_i an implicit e^{+alpha_i}, so inner products such as
     P_scaled . D_scaled equal their unscaled counterparts exactly.  Only
     the weights have an unscaled view, D, for output; it overflows to
-    +-inf once alpha_i + ln|D_scaled_i| exceeds ~709.
+    +-inf once alpha_i + ln|D_scaled_i| exceeds ln(max double) ~709.78.
     """
 
     u: float
@@ -404,18 +404,17 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     m = m_terms(p, u)  # checks u
     u = float(u)
     km, kf, kv = p.kappa_m, p.kappa_f, p.kappa_v
-    coeffs = characteristic_coefficients(m, km, kf, kv)
-    a0, a1, a2 = alpha_roots(coeffs, u=u)
-    x0 = _refine_root(a0 * a0, m, km, kf, kv)
-    x1 = _refine_root(a1 * a1, m, km, kf, kv)
-    x2 = _refine_root(a2 * a2, m, km, kf, kv)
-    alpha = (math.sqrt(x0), math.sqrt(x1), math.sqrt(x2))
     try:
+        a0, a1, a2 = alpha_roots(characteristic_coefficients(m, km, kf, kv))
+        x0 = _refine_root(a0 * a0, m, km, kf, kv)
+        x1 = _refine_root(a1 * a1, m, km, kf, kv)
+        x2 = _refine_root(a2 * a2, m, km, kf, kv)
+        alpha = (math.sqrt(x0), math.sqrt(x1), math.sqrt(x2))
         A, B = zip(_modal_from_x(x0, m, km, kf, kv), _modal_from_x(x1, m, km, kf, kv),
                    _modal_from_x(x2, m, km, kf, kv))
         P, Q, R = boundary_vectors(alpha, A, B, km, kf, kv)
         D = solve_boundary(P, Q, R, u)
-    except (NullSpaceError, SingularBoundaryError) as exc:
+    except (RootClassificationError, NullSpaceError, SingularBoundaryError) as exc:
         raise type(exc)(f"{exc} (u={u!r}, params={p!r})") from exc
     return LaplaceAssembly(u=u, mterms=m, alpha=alpha, A=A, B=B,
                            P_scaled=P, Q_scaled=Q, R_scaled=R, D_scaled=D)

@@ -128,36 +128,34 @@ def solve_cubic_real(c: CubicCoefficients) -> tuple[float, float, float]:
     return tuple(sorted((x1, _polish(c, r1), _polish(c, r2))))
 
 
-def alpha_roots(c: CubicCoefficients,
-                u: float | None = None) -> tuple[float, float, float]:
+def alpha_roots(c: CubicCoefficients) -> tuple[float, float, float]:
     """The three alpha_i = sqrt(x_i) (ascending) of the cubic's roots x_i.
 
     The model's modal basis needs three distinct positive real roots.
-    RootClassificationError, naming the Laplace variable u when supplied,
-    refuses everything else: a cubic that cannot be solved in doubles (a
-    non-finite coefficient, an overflow at very large u or a complex pair;
-    the cause is chained), a non-positive root, two roots within REPEAT_TOL
-    of each other, and a root that fails the residual bound.
+    RootClassificationError refuses everything else: a cubic that cannot be
+    solved in doubles (a non-finite coefficient, an overflow at very large u
+    or a complex pair; the cause is chained), a non-positive root, two roots
+    within REPEAT_TOL of each other, and a root that fails the residual
+    bound.
     """
-    where = "" if u is None else f" at u={u!r}"
     try:
         x0, x1, x2 = solve_cubic_real(c)
     except (ValueError, OverflowError) as exc:
         raise RootClassificationError(
-            f"characteristic equation cannot be solved{where}: {exc}") from exc
+            f"characteristic equation cannot be solved: {exc}") from exc
     if not (x0 > 0.0 and x1 > 0.0 and x2 > 0.0):
         raise RootClassificationError(
             f"characteristic equation has non-positive roots "
-            f"{[x for x in (x0, x1, x2) if not x > 0.0]}{where}")
+            f"{[x for x in (x0, x1, x2) if not x > 0.0]}")
     if not (x1 - x0 > REPEAT_TOL * x1 and x2 - x1 > REPEAT_TOL * x2):
         raise RootClassificationError(
             f"characteristic equation has nearly repeated roots "
-            f"{[x0, x1, x2]}{where}")
+            f"{[x0, x1, x2]}")
     for x in (x0, x1, x2):
         res = c(x)
         scale = c.scale_at(x)
         if not abs(res) <= RESIDUAL_TOL * scale:
             raise RootClassificationError(
                 f"root x={x!r} fails residual bound: |{res!r}| > "
-                f"{RESIDUAL_TOL} * {scale!r}{where}")
+                f"{RESIDUAL_TOL} * {scale!r}")
     return math.sqrt(x0), math.sqrt(x1), math.sqrt(x2)

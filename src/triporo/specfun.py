@@ -1,14 +1,15 @@
-"""Modified Bessel functions of the second kind, orders 0 and 1.
+"""Exponentially scaled modified Bessel functions of the second kind.
 
-Positive real arguments only.  The scaled variants return e^x * K_nu(x)
-and stay finite for arbitrarily large x; ratios of Bessel functions at
-large argument must be formed from them, since the unscaled values
-underflow to zero near x ~ 740.
+K0e(x) = e^x K0(x) and K1e(x) = e^x K1(x), for positive real x only.  They
+stay finite for arbitrarily large x, where the unscaled K0 and K1
+underflow to zero near x ~ 740, so the model works in scaled form
+throughout: its boundary rows and wellbore sums carry the factor e^{-x}
+implicitly.
 """
 
 import math
 
-from scipy.special import k0 as _k0, k0e as _k0e, k1 as _k1, k1e as _k1e
+from scipy.special import k0e as _k0e, k1e as _k1e
 
 
 def _check_arg(x: float) -> float:
@@ -16,16 +17,6 @@ def _check_arg(x: float) -> float:
     if math.isnan(x) or math.isinf(x) or x <= 0.0:
         raise ValueError(f"Bessel argument must be a positive finite real, got {x!r}")
     return x
-
-
-def bessel_k0(x: float) -> float:
-    """K_0(x) for x > 0; underflows gracefully to 0 for large x."""
-    return float(_k0(_check_arg(x)))
-
-
-def bessel_k1(x: float) -> float:
-    """K_1(x) for x > 0; underflows gracefully to 0 for large x."""
-    return float(_k1(_check_arg(x)))
 
 
 def bessel_k0_scaled(x: float) -> float:

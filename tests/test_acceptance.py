@@ -34,11 +34,10 @@ from triporo.inversion import StehfestScheme, invert, invert_mp
 from triporo.model import (TriplePorosityParams, laplace_assembly,
                            single_medium_pressure_laplace,
                            wellbore_pressure_laplace)
-from triporo.specfun import (bessel_k0, bessel_k0_scaled, bessel_k1,
-                             bessel_k1_scaled)
+from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
 from conftest import REF_KWARGS
-from test_specfun import k0_oracle, k0_scaled_oracle, k1_oracle
+from test_specfun import k0_scaled_oracle, k1_scaled_oracle
 
 REF = TriplePorosityParams(**REF_KWARGS)
 BETA_TRIPLES = [(1.0, 1.0, 1.0), (0.9, 0.8, 0.7), (0.77, 0.56, 0.6)]
@@ -128,20 +127,20 @@ def test_criterion_1_stehfest_exactness_and_analytic_pairs():
 
 
 def test_criterion_2_bessel_oracle_agreement():
+    # The model evaluates K0 and K1 only in scaled form, at alpha from ~4e-5
+    # to ~3e3 on the benchmark's parameter sets; [1e-6, 1e4] covers that.
     worst = 0.0
-    for x in np.logspace(-6, math.log10(600.0), 100):
+    for x in np.logspace(-6, 4, 100):
         x = float(x)
-        if x <= 50.0:
-            worst = max(worst, abs(bessel_k0(x) / k0_oracle(x) - 1.0),
-                        abs(bessel_k1(x) / k1_oracle(x) - 1.0))
-        else:
-            worst = max(worst, abs(bessel_k0_scaled(x) / k0_scaled_oracle(x) - 1.0))
+        worst = max(worst, abs(bessel_k0_scaled(x) / k0_scaled_oracle(x) - 1.0),
+                    abs(bessel_k1_scaled(x) / k1_scaled_oracle(x) - 1.0))
     worst_d = 0.0
     for x in np.logspace(math.log10(0.01), math.log10(50.0), 50):
         x = float(x)
         h = 1e-5 * x
-        fd = (bessel_k0(x + h) - bessel_k0(x - h)) / (2.0 * h)
-        worst_d = max(worst_d, abs(fd / (-bessel_k1(x)) - 1.0))
+        fd = (bessel_k0_scaled(x + h) - bessel_k0_scaled(x - h)) / (2.0 * h)
+        exact = bessel_k0_scaled(x) - bessel_k1_scaled(x)  # d/dx K0e, as K0' = -K1
+        worst_d = max(worst_d, abs(fd / exact - 1.0))
     ok = _report(2, "Bessel quadrature-oracle agreement",
                  worst <= 1e-12 and worst_d <= 1e-6,
                  f"oracle worst={worst:.3e} (tol 1e-12), "

@@ -36,6 +36,9 @@ def test_log_grid_validation():
         log_time_grid(10.0, 1.0, 5)
     with pytest.raises(ValueError):
         log_time_grid(1.0, 10.0, 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="points_per_decade"):
+            log_time_grid(1e-2, 1e8, bad)
 
 
 def test_bourdet_log_ramp_is_exact():

@@ -61,6 +61,9 @@ def test_scheme_construction():
         StehfestScheme(n=12, weights=(1.0, 2.0))
     with pytest.raises(ValueError):
         StehfestScheme.of_order(13)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="Stehfest order"):
+            StehfestScheme.of_order(bad)
 
 
 def test_invert_constant_pair():

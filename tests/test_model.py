@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,15 +10,14 @@ from triporo.curves import log_time_grid, pressure_curve
 from triporo.inversion import StehfestScheme
 from triporo.model import (ConsistencyError, MTerms, NullSpaceError,
                            PhysicalParams, SingularBoundaryError,
-                           TriplePorosityParams, _modal_from_x,
+                           TriplePorosityParams, _modal_from_x, _unscale_weight,
                            boundary_vectors, characteristic_coefficients,
                            field_pressure_laplace, from_dimensionless,
                            laplace_assembly, m_terms,
                            single_medium_pressure_laplace, solve_boundary,
                            to_dimensionless, wellbore_pressure_laplace)
 from triporo.roots import RootClassificationError, solve_cubic_real
-from triporo.specfun import (bessel_k0, bessel_k0_scaled, bessel_k1,
-                             bessel_k1_scaled)
+from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
 COLLAPSED = TriplePorosityParams(1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
 
@@ -289,9 +289,10 @@ def test_boundary_vectors_scaled_consistency(ref_params):
     E = [km * A[i] + kf * B[i] + kv for i in range(3)]
     for i in range(3):
         f = math.exp(-alpha[i])
-        assert Ps[i] * f == pytest.approx(alpha[i] * bessel_k1(alpha[i]) * E[i], rel=1e-13)
-        assert Qs[i] * f == pytest.approx((A[i] - 1.0) * bessel_k0(alpha[i]), rel=1e-13)
-        assert Rs[i] * f == pytest.approx((B[i] - 1.0) * bessel_k0(alpha[i]), rel=1e-13)
+        k0, k1 = float(mp.besselk(0, alpha[i])), float(mp.besselk(1, alpha[i]))
+        assert Ps[i] * f == pytest.approx(alpha[i] * k1 * E[i], rel=1e-13)
+        assert Qs[i] * f == pytest.approx((A[i] - 1.0) * k0, rel=1e-13)
+        assert Rs[i] * f == pytest.approx((B[i] - 1.0) * k0, rel=1e-13)
 
 
 def test_solve_boundary_identity_rows():
@@ -305,8 +306,18 @@ def test_solve_boundary_permuted_rows():
 
 
 def test_solve_boundary_singular():
-    with pytest.raises(SingularBoundaryError, match="u=1.0"):
+    with pytest.raises(SingularBoundaryError, match="singular"):
         solve_boundary((1, 0, 0), (1, 0, 0), (0, 0, 1), 1.0)
+
+
+def test_singular_boundary_from_assembly_names_u_once(ref_params, monkeypatch):
+    # laplace_assembly adds the context; solve_boundary does not repeat it.
+    monkeypatch.setattr("triporo.model.boundary_vectors",
+                        lambda *args: ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
+    with pytest.raises(SingularBoundaryError) as info:
+        laplace_assembly(ref_params, 1.0)
+    assert str(info.value).count("u=") == 1
+    assert "(u=1.0, params=TriplePorosityParams(" in str(info.value)
 
 
 def test_solve_boundary_refuses_nan_entry():
@@ -376,8 +387,6 @@ def test_classic_reduction_against_independent_implementation(ref_params):
     # Separately coded classic-case (all orders = 1) implementation:
     # arbitrary-precision arithmetic, polynomial companion roots, LU solve
     # on the column-equilibrated boundary system, mpmath Bessel functions.
-    mp = pytest.importorskip("mpmath")
-
     def reference(kw, u_float):
         om_f, om_v = mp.mpf(repr(kw["omega_f"])), mp.mpf(repr(kw["omega_v"]))
         kf, kv = mp.mpf(repr(kw["kappa_f"])), mp.mpf(repr(kw["kappa_v"]))
@@ -470,9 +479,12 @@ def test_wellbore_rejects_bad_u(ref_params):
 ])
 def test_unsolvable_large_u_is_a_root_classification_error(ref_kwargs, betas, u, cause):
     p = TriplePorosityParams(**ref_kwargs).with_betas(*betas)
-    with pytest.raises(RootClassificationError, match=re.escape(f"at u={u!r}")) as info:
+    context = re.escape(f"(u={u!r}, params={p!r})")
+    with pytest.raises(RootClassificationError, match=context) as info:
         wellbore_pressure_laplace(p, u)
-    assert isinstance(info.value.__cause__, cause)
+    # The error from alpha_roots is chained, and the arithmetic cause behind it.
+    assert isinstance(info.value.__cause__, RootClassificationError)
+    assert isinstance(info.value.__cause__.__cause__, cause)
 
 
 @pytest.mark.parametrize("kwargs, u, message", [
@@ -491,9 +503,11 @@ def test_unsolvable_large_u_is_a_root_classification_error(ref_kwargs, betas, u,
           lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0), 1.7e308, "cannot be solved"),
 ], ids=["omega_m0-1e27", "omega_m0-1e30", "decoupled-equal-ratios", "nan-roots"])
 def test_inadmissible_roots_are_refused_before_the_boundary_solve(kwargs, u, message):
+    p = TriplePorosityParams(**kwargs)
     with pytest.raises(RootClassificationError) as info:
-        laplace_assembly(TriplePorosityParams(**kwargs), u)
-    assert message in str(info.value) and f"u={u!r}" in str(info.value)
+        laplace_assembly(p, u)
+    assert message in str(info.value)
+    assert str(info.value).endswith(f"(u={u!r}, params={p!r})")
 
 
 # ------------------------------------------------------ field pressures
@@ -553,7 +567,7 @@ def test_field_pressure_rejects_small_radius(ref_params):
 
 def test_single_medium_at_unit_radius():
     assert single_medium_pressure_laplace(1.0, 1.0, 1.0) == pytest.approx(
-        bessel_k0(1.0) / bessel_k1(1.0), rel=1e-13)
+        float(mp.besselk(0, 1) / mp.besselk(1, 1)), rel=1e-13)
 
 
 def test_single_medium_flux_boundary_condition():
@@ -562,8 +576,8 @@ def test_single_medium_flux_boundary_condition():
     for alpha in (1.0, 0.7):
         for u in (0.1, 1.0, 10.0):
             z = math.sqrt(u ** alpha)
-            amp = single_medium_pressure_laplace(alpha, u, 1.0) / bessel_k0(z)
-            flux = -amp * z * bessel_k1(z)
+            amp = single_medium_pressure_laplace(alpha, u, 1.0) / float(mp.besselk(0, z))
+            flux = -amp * z * float(mp.besselk(1, z))
             assert flux == pytest.approx(-1.0 / u, rel=1e-12)
 
 
@@ -675,6 +689,18 @@ def test_assembly_extreme_u_stays_finite(ref_params):
     assert math.isfinite(pv) and pv > 0.0
 
 
+def test_unscaled_weights_overflow_only_past_the_double_range(ref_params):
+    # e^709.5 = 1.35e308 fits in a double; e^710 does not.
+    assert _unscale_weight(1.0, 709.5) == math.exp(709.5)
+    assert _unscale_weight(-1.0, 709.0) == -math.exp(709.0)
+    assert _unscale_weight(1.0, 710.0) == math.inf
+    assert _unscale_weight(0.0, 800.0) == 0.0
+    # alpha_3 ~ 796 puts D_3 past the double range; D_1 and D_2 stay finite.
+    asm = laplace_assembly(ref_params.with_betas(0.9, 0.8, 0.7), 1e6)
+    d0, d1, d2 = asm.D
+    assert math.isfinite(d0) and math.isfinite(d1) and d2 == math.inf
+
+
 def test_collapsed_params_assemble_without_degeneracy_error():
     # Nearly decoupled but nonzero couplings must assemble cleanly.
     asm = laplace_assembly(COLLAPSED, 1.0)
@@ -684,7 +710,6 @@ def test_collapsed_params_assemble_without_degeneracy_error():
 @pytest.mark.parametrize("values,u_first", DOMAIN_PROBE,
                          ids=[f"set{i}" for i in range(len(DOMAIN_PROBE))])
 def test_domain_probe_curves_and_roots(values, u_first):
-    mp = pytest.importorskip("mpmath")
     p = TriplePorosityParams(*values)
     pts = pressure_curve(p, log_time_grid(1e-1, 1e5, 5), StehfestScheme.of_order(12))
     pw = [pt.p_w for pt in pts]

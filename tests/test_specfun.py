@@ -1,51 +1,45 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import kv
+from scipy.special import kve
 
-from triporo.specfun import (bessel_k0, bessel_k0_scaled, bessel_k1,
-                             bessel_k1_scaled)
+from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
 EULER_GAMMA = 0.5772156649015329
 
 
-# Independent oracle: the integral representations
-#   K0(x) = int_0^inf exp(-x cosh t) dt
-#   K1(x) = int_0^inf exp(-x cosh t) cosh t dt
+# Independent oracle: the integral representations, scaled by e^x,
+#   e^x K0(x) = int_0^inf exp(-x (cosh t - 1)) dt
+#   e^x K1(x) = int_0^inf exp(-x (cosh t - 1)) cosh t dt
 # integrated adaptively up to the point where the integrand underflows.
 
-def _cutoff(x: float) -> float:
-    return math.acosh(745.0 / x) if x < 745.0 else 1.0
-
-
-def k0_oracle(x: float) -> float:
-    return quad(lambda t: math.exp(-x * math.cosh(t)), 0.0, _cutoff(x),
-                epsabs=1e-300, epsrel=1.3e-14, limit=400)[0]
-
-
-def k1_oracle(x: float) -> float:
-    return quad(lambda t: math.exp(-x * math.cosh(t)) * math.cosh(t), 0.0, _cutoff(x),
-                epsabs=1e-300, epsrel=1.3e-14, limit=400)[0]
+def _top(x: float) -> float:
+    return math.acosh(745.0 / x + 1.0)
 
 
 def k0_scaled_oracle(x: float) -> float:
-    top = math.acosh(745.0 / x + 1.0)
-    return quad(lambda t: math.exp(-x * (math.cosh(t) - 1.0)), 0.0, top,
+    return quad(lambda t: math.exp(-x * (math.cosh(t) - 1.0)), 0.0, _top(x),
+                epsabs=1e-300, epsrel=1.3e-14, limit=400)[0]
+
+
+def k1_scaled_oracle(x: float) -> float:
+    return quad(lambda t: math.exp(-x * (math.cosh(t) - 1.0)) * math.cosh(t), 0.0, _top(x),
                 epsabs=1e-300, epsrel=1.3e-14, limit=400)[0]
 
 
 def test_k0_at_one_matches_quadrature_oracle():
-    assert k0_oracle(1.0) == pytest.approx(0.42102443824070834, rel=1e-13)
-    assert bessel_k0(1.0) == pytest.approx(0.42102443824070834, rel=1e-13)
+    e_k0 = math.e * 0.42102443824070834
+    assert k0_scaled_oracle(1.0) == pytest.approx(e_k0, rel=1e-13)
+    assert bessel_k0_scaled(1.0) == pytest.approx(e_k0, rel=1e-13)
 
 
 def test_k1_frozen_oracle_values():
-    assert k1_oracle(1.0) == pytest.approx(0.6019072301972346, rel=1e-13)
-    assert bessel_k1(1.0) == pytest.approx(0.6019072301972346, rel=1e-13)
-    assert k1_oracle(5.0) == pytest.approx(0.004044613445452164, rel=1e-13)
-    assert bessel_k1(5.0) == pytest.approx(0.004044613445452164, rel=1e-13)
+    for x, k1 in ((1.0, 0.6019072301972346), (5.0, 0.004044613445452164)):
+        assert k1_scaled_oracle(x) == pytest.approx(math.exp(x) * k1, rel=1e-13)
+        assert bessel_k1_scaled(x) == pytest.approx(math.exp(x) * k1, rel=1e-13)
 
 
 def test_k0_small_argument_log_divergence():
@@ -54,17 +48,12 @@ def test_k0_small_argument_log_divergence():
     x = 1e-8
     expansion = -math.log(x / 2.0) - EULER_GAMMA
     assert expansion == pytest.approx(18.536612259610777, rel=1e-12)
-    assert bessel_k0(x) == pytest.approx(expansion, rel=1e-9)
+    assert bessel_k0_scaled(x) * math.exp(-x) == pytest.approx(expansion, rel=1e-9)
 
 
 def test_k1_small_argument_reciprocal_limit():
     x = 1e-6
-    assert x * bessel_k1(x) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_k0_underflows_gracefully():
-    assert bessel_k0(700.0) <= 1e-300
-    assert bessel_k0(800.0) == 0.0  # no error past the representable range
+    assert x * bessel_k1_scaled(x) * math.exp(-x) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_scaled_values():
@@ -75,19 +64,20 @@ def test_scaled_values():
 
 
 def test_scaled_unscaled_consistency():
+    # Removing the scale factor recovers mpmath's unscaled K0 and K1.
     assert bessel_k0_scaled(10.0) * math.exp(-10.0) == pytest.approx(
-        bessel_k0(10.0), rel=1e-14)
+        float(mp.besselk(0, 10)), rel=1e-14)
     assert bessel_k1_scaled(10.0) * math.exp(-10.0) == pytest.approx(
-        bessel_k1(10.0), rel=1e-14)
+        float(mp.besselk(1, 10)), rel=1e-14)
 
 
 def test_scaled_ratio_matches_unscaled_ratio():
     for x in (0.5, 3.0, 30.0, 300.0):
         assert bessel_k0_scaled(x) / bessel_k1_scaled(x) == pytest.approx(
-            bessel_k0(x) / bessel_k1(x), rel=1e-13)
+            float(mp.besselk(0, x) / mp.besselk(1, x)), rel=1e-13)
 
 
-@pytest.mark.parametrize("fn", [bessel_k0, bessel_k1, bessel_k0_scaled, bessel_k1_scaled])
+@pytest.mark.parametrize("fn", [bessel_k0_scaled, bessel_k1_scaled])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_domain_errors(fn, bad):
     with pytest.raises(ValueError):
@@ -95,41 +85,38 @@ def test_domain_errors(fn, bad):
 
 
 def test_quadrature_oracle_agreement_sample():
-    for x in np.logspace(-6, math.log10(600.0), 25):
+    for x in np.logspace(-6, 4, 25):
         x = float(x)
-        if x <= 50.0:
-            assert bessel_k0(x) == pytest.approx(k0_oracle(x), rel=1e-12)
-            assert bessel_k1(x) == pytest.approx(k1_oracle(x), rel=1e-12)
-        else:
-            assert bessel_k0_scaled(x) == pytest.approx(k0_scaled_oracle(x), rel=1e-12)
+        assert bessel_k0_scaled(x) == pytest.approx(k0_scaled_oracle(x), rel=1e-12)
+        assert bessel_k1_scaled(x) == pytest.approx(k1_scaled_oracle(x), rel=1e-12)
 
 
 def test_derivative_identity_k0():
-    # d/dx K0 = -K1 against central differences
+    # d/dx K0e = K0e - K1e (from K0' = -K1) against central differences
     for x in np.logspace(math.log10(0.01), math.log10(50.0), 50):
         x = float(x)
         h = 1e-5 * x
-        fd = (bessel_k0(x + h) - bessel_k0(x - h)) / (2.0 * h)
-        assert fd == pytest.approx(-bessel_k1(x), rel=1e-6)
+        fd = (bessel_k0_scaled(x + h) - bessel_k0_scaled(x - h)) / (2.0 * h)
+        assert fd == pytest.approx(bessel_k0_scaled(x) - bessel_k1_scaled(x), rel=1e-6)
 
 
 def test_k1_derivative_from_both_recurrences():
     # K1' = -K0 - K1/x and K1' = -K2 + K1/x agree when K2 satisfies
-    # K2 = K0 + 2 K1 / x; K2 comes from an independent evaluation.
+    # K2 = K0 + 2 K1 / x; K2e comes from an independent evaluation.  Both
+    # sides carry the same factor e^x.
     for x in np.logspace(-2, math.log10(50.0), 40):
         x = float(x)
-        k0x, k1x = bessel_k0(x), bessel_k1(x)
-        k2x = float(kv(2, x))
+        k0x, k1x = bessel_k0_scaled(x), bessel_k1_scaled(x)
+        k2x = float(kve(2, x))
         d_low = -k0x - k1x / x
         d_high = -k2x + k1x / x
         assert d_high == pytest.approx(d_low, rel=1e-10)
 
 
 def test_positive_and_strictly_decreasing():
-    grid = np.logspace(-6, 2.5, 200)
-    vals0 = [bessel_k0(float(x)) for x in grid]
-    vals1 = [bessel_k1(float(x)) for x in grid]
+    grid = np.logspace(-6, 4, 200)
+    vals0 = [bessel_k0_scaled(float(x)) for x in grid]
+    vals1 = [bessel_k1_scaled(float(x)) for x in grid]
     assert all(v > 0.0 for v in vals0 + vals1)
     assert all(b < a for a, b in zip(vals0, vals0[1:]))
     assert all(b < a for a, b in zip(vals1, vals1[1:]))
-
