@@ -15,11 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-from .curves import log_time_grid, pressure_curve, write_curve
+from .curves import _write_text, log_time_grid, pressure_curve, write_curve
 from .inversion import StehfestScheme, TransformEvaluationError
-from .model import (ConsistencyError, NullSpaceError, PhysicalParams,
-                    SingularBoundaryError, TriplePorosityParams,
-                    laplace_assembly, to_dimensionless)
+from .model import (ConsistencyError, DimensionlessTransform, NullSpaceError,
+                    PhysicalParams, SingularBoundaryError,
+                    TriplePorosityParams, laplace_assembly, to_dimensionless)
 from .roots import RootClassificationError
 
 EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_IO = 0, 1, 2, 3
@@ -98,21 +98,24 @@ def _build_params(cfg) -> TriplePorosityParams:
         except ValueError as exc:
             raise ConfigError(f"invalid [model] parameters: {exc}") from exc
     if has_phys:
-        phys = _build_physical(cfg)
-        bm, bf, bv = _betas(cfg, "physical")
+        params = _build_transform(cfg).params
         try:
-            return to_dimensionless(phys).params(bm, bf, bv)
+            return params.with_betas(*_betas(cfg, "physical"))
         except ValueError as exc:
-            raise ConfigError(f"invalid derived dimensionless parameters: {exc}") from exc
+            raise ConfigError(f"invalid [physical] parameters: {exc}") from exc
     raise ConfigError("config must contain a [model] or [physical] section")
 
 
-def _build_physical(cfg) -> PhysicalParams:
+def _build_transform(cfg) -> DimensionlessTransform:
     vals = {k: _get_float(cfg, "physical", k) for k in _PHYSICAL_KEYS}
     try:
-        return PhysicalParams(**vals)
+        phys = PhysicalParams(**vals)
     except ValueError as exc:
         raise ConfigError(f"invalid [physical] parameters: {exc}") from exc
+    try:
+        return to_dimensionless(phys)
+    except ValueError as exc:
+        raise ConfigError(f"invalid derived dimensionless parameters: {exc}") from exc
 
 
 def _build_grid(cfg) -> list[float]:
@@ -265,11 +268,7 @@ def cmd_laplace(args) -> int:
         row = [u, m.m1, m.m2, m.m3, m.m4, m.m5, m.m6,
                *asm.alpha, *asm.A, *asm.B, *asm.D, pw]
         lines.append(",".join(repr(float(v)) for v in row))
-    try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {out!r}: {exc}") from exc
+    _write_text("\n".join(lines) + "\n", out)
     _say(args, f"laplace: wrote {out} ({len(us)} rows, {time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 
@@ -278,13 +277,8 @@ def cmd_dimensionless(args) -> int:
     cfg = _load(args.config)
     if not cfg.has_section("physical"):
         raise ConfigError("dimensionless command requires a [physical] section")
-    phys = _build_physical(cfg)
-    scales = to_dimensionless(phys)
-    try:
-        params = scales.params()
-    except ValueError as exc:
-        raise ConfigError(f"derived parameters violate invariants: {exc}") from exc
-    pairs = [(key, getattr(params, key)) for key in (
+    scales = _build_transform(cfg)
+    pairs = [(key, getattr(scales.params, key)) for key in (
         "omega_f", "omega_v", "omega_m", "kappa_f", "kappa_v", "kappa_m",
         "lambda_mf", "lambda_mv", "lambda_fv")]
     pairs += [("t_scale", scales.t_scale), ("p_scale", scales.p_scale)]

@@ -119,11 +119,16 @@ def write_curve(points, fmt: str, destination) -> None:
         text = curve_to_json(points)
     else:
         raise ValueError(f"unknown curve format {fmt!r}")
+    _write_text(text, destination)
+
+
+def _write_text(text: str, destination) -> None:
+    """Write text as UTF-8 with LF line endings; an OSError names the path."""
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write curve to {destination!r}: {exc}") from exc
+        raise OSError(f"cannot write {destination!r}: {exc}") from exc
 
 
 def read_curve(source, fmt: str = "csv") -> list[CurvePoint]:

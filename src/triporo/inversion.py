@@ -26,7 +26,7 @@ by this package.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 MIN_ORDER = 2
@@ -82,20 +82,19 @@ def stehfest_weights(n: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class StehfestScheme:
-    """An inversion scheme of even order n with precomputed weights."""
+    """An inversion scheme of even order n; its float weights follow from n."""
 
     n: int
-    weights: tuple[float, ...]
+    weights: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        _check_order(self.n)
-        if len(self.weights) != self.n:
-            raise ValueError(
-                f"expected {self.n} weights, got {len(self.weights)}")
+        n = _check_order(self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", stehfest_weights(n))
 
     @classmethod
     def of_order(cls, n: int) -> "StehfestScheme":
-        return cls(n=n, weights=stehfest_weights(n))
+        return cls(n)
 
 
 def _check_time(t: float) -> float:

@@ -160,28 +160,16 @@ class MTerms(NamedTuple):
 
 @dataclass(frozen=True)
 class DimensionlessTransform:
-    """Dimensionless groups plus the t_D and p_D scale factors.
+    """Dimensionless model parameters plus the t_D and p_D scale factors.
 
-    t_D = t * t_scale and p_D = p_scale * (p_i - p); fractional orders are
-    not part of the map and are supplied when building model parameters.
+    t_D = t * t_scale and p_D = p_scale * (p_i - p).  Fractional orders are
+    not part of the map: ``params`` has the classical orders, and
+    ``params.with_betas`` sets others.
     """
 
-    omega_f: float
-    omega_v: float
-    kappa_f: float
-    kappa_v: float
-    lambda_mf: float
-    lambda_mv: float
-    lambda_fv: float
+    params: TriplePorosityParams
     t_scale: float
     p_scale: float
-
-    def params(self, beta_m: float = 1.0, beta_f: float = 1.0,
-               beta_v: float = 1.0) -> TriplePorosityParams:
-        return TriplePorosityParams(
-            self.omega_f, self.omega_v, self.kappa_f, self.kappa_v,
-            self.lambda_mf, self.lambda_mv, self.lambda_fv,
-            beta_m, beta_f, beta_v)
 
 
 def _check_u(u: float) -> float:
@@ -340,6 +328,11 @@ def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
             (q0 * r1 - q1 * r0) / ud)
 
 
+def _context(u: float, p: TriplePorosityParams) -> str:
+    """The suffix that names the evaluation a model error comes from."""
+    return f" (u={u!r}, params={p!r})"
+
+
 def _unscale_weight(d_scaled: float, alpha: float) -> float:
     # D_i = e^{alpha_i} * D_scaled_i; go through logs past the exp range.
     if d_scaled == 0.0:
@@ -364,6 +357,7 @@ class LaplaceAssembly:
     +-inf once alpha_i + ln|D_scaled_i| exceeds ln(max double) ~709.78.
     """
 
+    params: TriplePorosityParams
     u: float
     mterms: MTerms
     alpha: tuple[float, float, float]
@@ -383,7 +377,7 @@ class LaplaceAssembly:
         """(matrix, fracture, vug) wellbore pressures; equal in exact arithmetic.
 
         Their disagreement beyond CONSISTENCY_TOL, or a non-finite value,
-        raises ConsistencyError.
+        raises ConsistencyError ending in "(u=..., params=...)".
         """
         (a0, a1, a2), (d0, d1, d2) = self.alpha, self.D_scaled
         (A0, A1, A2), (B0, B1, B2) = self.A, self.B
@@ -394,8 +388,8 @@ class LaplaceAssembly:
         tol = CONSISTENCY_TOL * abs(pv)
         if not (abs(pm - pv) <= tol and abs(pf - pv) <= tol):
             raise ConsistencyError(
-                f"wellbore pressure triple equality violated at u={self.u!r}: "
-                f"matrix={pm!r} fracture={pf!r} vug={pv!r}")
+                f"wellbore pressure triple equality violated: matrix={pm!r} "
+                f"fracture={pf!r} vug={pv!r}{_context(self.u, self.params)}")
         return pm, pf, pv
 
 
@@ -415,8 +409,8 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
         P, Q, R = boundary_vectors(alpha, A, B, km, kf, kv)
         D = solve_boundary(P, Q, R, u)
     except (RootClassificationError, NullSpaceError, SingularBoundaryError) as exc:
-        raise type(exc)(f"{exc} (u={u!r}, params={p!r})") from exc
-    return LaplaceAssembly(u=u, mterms=m, alpha=alpha, A=A, B=B,
+        raise type(exc)(f"{exc}{_context(u, p)}") from exc
+    return LaplaceAssembly(params=p, u=u, mterms=m, alpha=alpha, A=A, B=B,
                            P_scaled=P, Q_scaled=Q, R_scaled=R, D_scaled=D)
 
 
@@ -466,18 +460,23 @@ def single_medium_pressure_laplace(alpha_order: float, u: float,
 
 
 def to_dimensionless(phys: PhysicalParams) -> DimensionlessTransform:
-    """Dimensionless groups and scale factors from dimensional quantities."""
+    """Dimensionless parameters and scale factors from dimensional quantities.
+
+    Raises ValueError when the derived groups are inadmissible, e.g. a k_m
+    so small against k_f + k_v that kappa_f + kappa_v rounds to 1.
+    """
     storage = phys.phi_m * phys.c_m + phys.phi_f * phys.c_f + phys.phi_v * phys.c_v
     ksum = phys.k_m + phys.k_f + phys.k_v
     lam = phys.mu * phys.r_w**2 / ksum
     return DimensionlessTransform(
-        omega_f=phys.phi_f * phys.c_f / storage,
-        omega_v=phys.phi_v * phys.c_v / storage,
-        kappa_f=phys.k_f / ksum,
-        kappa_v=phys.k_v / ksum,
-        lambda_mf=phys.a_mf * lam,
-        lambda_mv=phys.a_mv * lam,
-        lambda_fv=phys.a_fv * lam,
+        params=TriplePorosityParams(
+            omega_f=phys.phi_f * phys.c_f / storage,
+            omega_v=phys.phi_v * phys.c_v / storage,
+            kappa_f=phys.k_f / ksum,
+            kappa_v=phys.k_v / ksum,
+            lambda_mf=phys.a_mf * lam,
+            lambda_mv=phys.a_mv * lam,
+            lambda_fv=phys.a_fv * lam),
         t_scale=ksum / (phys.mu * phys.r_w**2 * storage),
         p_scale=2.0 * math.pi * phys.h * ksum / (phys.q0 * phys.b0 * phys.mu))
 

@@ -147,10 +147,42 @@ def test_integer_keys_must_be_integers(tmp_path, capsys):
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN)
-    out = tmp_path / "missing-dir" / "c.csv"
-    assert main(["curve", "--config", cfg, "--out", str(out)]) == 3
-    assert "i/o error" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN + "\n[laplace]\nu_values = 1.0\n")
+    for command in ("curve", "laplace"):
+        out = tmp_path / "missing-dir" / "x.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "x.csv" in err
+
+
+def test_output_section_and_flags(tmp_path, monkeypatch):
+    # [output] path and format apply where --out and --format are absent,
+    # and each flag overrides its key.
+    conf = tmp_path / "conf.out"
+    cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN +
+                    f"\n[output]\npath = {conf}\nformat = json\n")
+    assert main(["curve", "--config", cfg, "--quiet"]) == 0
+    assert len(json.loads(conf.read_text())) == 13
+    flagged = tmp_path / "flagged.out"
+    assert main(["curve", "--config", cfg, "--out", str(flagged), "--quiet"]) == 0
+    assert len(json.loads(flagged.read_text())) == 13
+    assert main(["curve", "--config", cfg, "--format", "csv", "--quiet"]) == 0
+    assert conf.read_text().splitlines()[0] == CSV_HEADER
+    # With neither, the output is curve.csv in the working directory.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    bare = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN, "bare.ini")
+    assert main(["curve", "--config", bare, "--quiet"]) == 0
+    assert [p.name for p in work.iterdir()] == ["curve.csv"]
+    assert (work / "curve.csv").read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_output_format_must_be_csv_or_json(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN + "\n[output]\nformat = xml\n")
+    assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.xml")]) == 1
+    assert "output format must be csv or json, got 'xml'" in capsys.readouterr().err
+    assert not (tmp_path / "c.xml").exists()
 
 
 def test_sweep_appends_classic(tmp_path):
@@ -343,6 +375,28 @@ def test_dimensionless_zero_permeability(tmp_path, capsys):
     assert "k_m" in capsys.readouterr().err
 
 
+def test_inadmissible_derived_groups_give_one_message(tmp_path, capsys):
+    # k_m is positive, but kappa_f + kappa_v rounds to 1, so kappa_m = 0.
+    cfg = write_cfg(tmp_path, PHYSICAL_BLOCK.replace("k_m = 1e-15", "k_m = 1e-300")
+                    .replace("k_f = 8e-14", "k_f = 1e-14")
+                    .replace("k_v = 2e-15", "k_v = 1e-14"))
+    out = tmp_path / "c.csv"
+    assert main(["curve", "--config", cfg, "--out", str(out)]) == 1
+    curve = capsys.readouterr()
+    assert main(["dimensionless", "--config", cfg]) == 1
+    dimensionless = capsys.readouterr()
+    assert curve.err == dimensionless.err == (
+        "error: invalid derived dimensionless parameters: "
+        "kappa_f + kappa_v must be < 1, got 1.0\n")
+    assert curve.out == dimensionless.out == "" and not out.exists()
+
+
+def test_physical_betas_are_checked(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, PHYSICAL_BLOCK + "beta_m = 1.5\n" + SMALL_RUN)
+    assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    assert "invalid [physical] parameters: beta_m" in capsys.readouterr().err
+
+
 def test_dimensionless_requires_physical(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_BLOCK)
     assert main(["dimensionless", "--config", cfg]) == 1
@@ -384,3 +438,11 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+    # The module passes main's exit code through.
+    for text, code in ((PHYSICAL_BLOCK, 0), (MODEL_BLOCK, 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "triporo", "dimensionless",
+             "--config", write_cfg(tmp_path, text)],
+            capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert ("omega_f = " in proc.stdout) == (code == 0)

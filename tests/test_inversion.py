@@ -56,9 +56,15 @@ def test_order_domain_errors(bad):
 
 def test_scheme_construction():
     s = StehfestScheme.of_order(12)
-    assert s.n == 12 and len(s.weights) == 12
-    with pytest.raises(ValueError):
-        StehfestScheme(n=12, weights=(1.0, 2.0))
+    assert s.n == 12 and s.weights == stehfest_weights(12)
+    # The weights follow from n alone, and an integral float order is the
+    # int order: both inversions run over it.
+    with pytest.raises(TypeError):
+        StehfestScheme(n=4, weights=(0.0,) * 4)
+    s = StehfestScheme.of_order(12.0)
+    assert type(s.n) is int and s == StehfestScheme(12)
+    assert invert(lambda u: 1.0 / u, 1.0, s) == pytest.approx(1.0, abs=1e-9)
+    assert invert_mp(lambda u: 1.0 / u, 1.0, s) == 1.0
     with pytest.raises(ValueError):
         StehfestScheme.of_order(13)
     for bad in (math.inf, math.nan):

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -358,13 +358,15 @@ def test_triple_equality_across_u(ref_params):
 
 
 def test_wellbore_pressures_check_triple_equality(ref_params):
-    # The one check site: a finite disagreement and a NaN both raise.
+    # The one check site: a finite disagreement and a NaN both raise, and
+    # the message ends by naming the evaluation, as the other model errors do.
     asm = laplace_assembly(ref_params, 1.0)
     A = (asm.A[0] * (1.0 + 1e-6), *asm.A[1:])
     D = (asm.D_scaled[0], math.nan, asm.D_scaled[2])
     for bad in (replace(asm, A=A), replace(asm, D_scaled=D)):
-        with pytest.raises(ConsistencyError, match="u=1.0"):
+        with pytest.raises(ConsistencyError) as info:
             bad.wellbore_pressures()
+        assert str(info.value).endswith(f" (u=1.0, params={ref_params!r})")
 
 
 def test_wellbore_pressure_decreasing_in_u(ref_params):
@@ -609,12 +611,21 @@ def _symmetric_physical(**overrides):
 
 def test_symmetric_media_map():
     tr = to_dimensionless(_symmetric_physical())
+    assert [f.name for f in fields(tr)] == ["params", "t_scale", "p_scale"]
+    p = tr.params
     third = 1.0 / 3.0
-    assert tr.omega_f == pytest.approx(third, rel=1e-14)
-    assert tr.omega_v == pytest.approx(third, rel=1e-14)
-    assert tr.kappa_f == pytest.approx(third, rel=1e-14)
-    assert tr.kappa_v == pytest.approx(third, rel=1e-14)
-    assert tr.lambda_mf == tr.lambda_mv == tr.lambda_fv == 0.0
+    assert p.omega_f == pytest.approx(third, rel=1e-14)
+    assert p.omega_v == pytest.approx(third, rel=1e-14)
+    assert p.kappa_f == pytest.approx(third, rel=1e-14)
+    assert p.kappa_v == pytest.approx(third, rel=1e-14)
+    assert p.lambda_mf == p.lambda_mv == p.lambda_fv == 0.0
+    assert (p.beta_m, p.beta_f, p.beta_v) == (1.0, 1.0, 1.0)
+
+
+def test_inadmissible_derived_groups_are_refused():
+    # k_m is positive, but kappa_f + kappa_v rounds to 1, so kappa_m = 0.
+    with pytest.raises(ValueError, match=r"kappa_f \+ kappa_v must be < 1"):
+        to_dimensionless(_symmetric_physical(k_m=1e-300))
 
 
 def test_ratios_sum_to_one():
@@ -626,19 +637,16 @@ def test_ratios_sum_to_one():
             c_f=float(10 ** rng.uniform(-10, -8)), c_v=float(10 ** rng.uniform(-10, -8)),
             k_m=float(10 ** rng.uniform(-16, -12)), k_f=float(10 ** rng.uniform(-16, -12)),
             k_v=float(10 ** rng.uniform(-16, -12)))
-        tr = to_dimensionless(phys)
-        om_m = 1.0 - tr.omega_f - tr.omega_v
-        ka_m = 1.0 - tr.kappa_f - tr.kappa_v
+        p = to_dimensionless(phys).params
         st = phys.phi_m * phys.c_m + phys.phi_f * phys.c_f + phys.phi_v * phys.c_v
-        assert om_m == pytest.approx(phys.phi_m * phys.c_m / st, rel=1e-10)
-        assert ka_m == pytest.approx(phys.k_m / (phys.k_m + phys.k_f + phys.k_v), rel=1e-10)
+        assert p.omega_m == pytest.approx(phys.phi_m * phys.c_m / st, rel=1e-10)
+        assert p.kappa_m == pytest.approx(phys.k_m / (phys.k_m + phys.k_f + phys.k_v), rel=1e-10)
 
 
 def test_coupling_coefficient_formula():
     phys = _symmetric_physical(a_mf=1e-10, mu=1e-3, r_w=0.1,
                                k_m=0.4e-13, k_f=0.35e-13, k_v=0.25e-13)
-    tr = to_dimensionless(phys)
-    assert tr.lambda_mf == pytest.approx(1e-2, rel=1e-12)
+    assert to_dimensionless(phys).params.lambda_mf == pytest.approx(1e-2, rel=1e-12)
 
 
 def test_pressure_scale_example():
