@@ -239,6 +239,11 @@ def _u_grid(cfg) -> list[float]:
         u_min = _get_float(cfg, "laplace", "u_min")
         u_max = _get_float(cfg, "laplace", "u_max")
         ppd = _get_int(cfg, "laplace", "points_per_decade", 10)
+        # log_time_grid names its bounds t_min and t_max; check ours first.
+        if not (math.isfinite(u_min) and u_min > 0.0):
+            raise ConfigError(f"invalid [laplace] grid: u_min must be positive, got {u_min!r}")
+        if not (math.isfinite(u_max) and u_max > u_min):
+            raise ConfigError(f"invalid [laplace] grid: u_max must exceed u_min, got {u_max!r}")
         try:
             us = log_time_grid(u_min, u_max, ppd)
         except ValueError as exc:

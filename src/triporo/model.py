@@ -36,6 +36,10 @@ RANK_TOL = 1e-12
 #: Relative tolerance of the wellbore pressure triple-equality check.
 CONSISTENCY_TOL = 1e-9
 
+#: Relative tolerance between kappa_m (omega_m), formed as 1 minus the other
+#: two ratios, and its direct ratio in ``to_dimensionless``.
+RATIO_TOL = 1e-8
+
 
 class NullSpaceError(Exception):
     """The modal matrix has no unique (A, B, 1)-normalizable null direction."""
@@ -177,6 +181,13 @@ def _check_u(u: float) -> float:
     if not (math.isfinite(u) and u > 0.0):
         raise ValueError(f"Laplace variable u must be a positive finite real, got {u!r}")
     return u
+
+
+def _check_radius(r_d: float) -> float:
+    r_d = float(r_d)
+    if not (math.isfinite(r_d) and r_d >= 1.0):
+        raise ValueError(f"r_d must be >= 1, got {r_d!r}")
+    return r_d
 
 
 def m_terms(p: TriplePorosityParams, u: float) -> MTerms:
@@ -347,13 +358,13 @@ def _unscale_weight(d_scaled: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class LaplaceAssembly:
-    """Per-u solution state of the triple-porosity Laplace solution.
+    """Per-u solution of the triple-porosity Laplace problem.
 
-    The stored boundary rows and weights are the scaled representation:
-    row entry i carries an implicit factor e^{-alpha_i} and the weight
-    D_scaled_i an implicit e^{+alpha_i}, so inner products such as
-    P_scaled . D_scaled equal their unscaled counterparts exactly.  Only
-    the weights have an unscaled view, D, for output; it overflows to
+    It holds the roots alpha, the modal coefficients (A, B, 1) and the
+    scaled weights D_scaled_i = D_i e^{-alpha_i}.  Times the scaled Bessel
+    value k0e(alpha_i) = K0(alpha_i) e^{alpha_i}, a scaled weight gives the
+    wellbore term D_i K0(alpha_i), so the pressures stay finite for any
+    alpha.  The unscaled view D is for output; it overflows to
     +-inf once alpha_i + ln|D_scaled_i| exceeds ln(max double) ~709.78.
     """
 
@@ -363,9 +374,6 @@ class LaplaceAssembly:
     alpha: tuple[float, float, float]
     A: tuple[float, float, float]
     B: tuple[float, float, float]
-    P_scaled: tuple[float, float, float]
-    Q_scaled: tuple[float, float, float]
-    R_scaled: tuple[float, float, float]
     D_scaled: tuple[float, float, float]
 
     @property
@@ -373,18 +381,24 @@ class LaplaceAssembly:
         (d0, d1, d2), (a0, a1, a2) = self.D_scaled, self.alpha
         return _unscale_weight(d0, a0), _unscale_weight(d1, a1), _unscale_weight(d2, a2)
 
+    def _modal_sum(self, k0, k1, k2) -> tuple[float, float, float]:
+        """(matrix, fracture, vug) sums of (A_i D_scaled_i) k_i, (B_i D_scaled_i) k_i
+        and D_scaled_i k_i, in that association: the wellbore bits are pinned."""
+        (d0, d1, d2), (A0, A1, A2), (B0, B1, B2) = self.D_scaled, self.A, self.B
+        pv = math.fsum((d0 * k0, d1 * k1, d2 * k2))
+        pm = math.fsum((A0 * d0 * k0, A1 * d1 * k1, A2 * d2 * k2))
+        pf = math.fsum((B0 * d0 * k0, B1 * d1 * k1, B2 * d2 * k2))
+        return pm, pf, pv
+
     def wellbore_pressures(self) -> tuple[float, float, float]:
         """(matrix, fracture, vug) wellbore pressures; equal in exact arithmetic.
 
         Their disagreement beyond CONSISTENCY_TOL, or a non-finite value,
         raises ConsistencyError ending in "(u=..., params=...)".
         """
-        (a0, a1, a2), (d0, d1, d2) = self.alpha, self.D_scaled
-        (A0, A1, A2), (B0, B1, B2) = self.A, self.B
-        k0, k1, k2 = bessel_k0_scaled(a0), bessel_k0_scaled(a1), bessel_k0_scaled(a2)
-        pv = math.fsum((d0 * k0, d1 * k1, d2 * k2))
-        pm = math.fsum((A0 * d0 * k0, A1 * d1 * k1, A2 * d2 * k2))
-        pf = math.fsum((B0 * d0 * k0, B1 * d1 * k1, B2 * d2 * k2))
+        a0, a1, a2 = self.alpha
+        pm, pf, pv = self._modal_sum(
+            bessel_k0_scaled(a0), bessel_k0_scaled(a1), bessel_k0_scaled(a2))
         tol = CONSISTENCY_TOL * abs(pv)
         if not (abs(pm - pv) <= tol and abs(pf - pv) <= tol):
             raise ConsistencyError(
@@ -406,12 +420,10 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
         alpha = (math.sqrt(x0), math.sqrt(x1), math.sqrt(x2))
         A, B = zip(_modal_from_x(x0, m, km, kf, kv), _modal_from_x(x1, m, km, kf, kv),
                    _modal_from_x(x2, m, km, kf, kv))
-        P, Q, R = boundary_vectors(alpha, A, B, km, kf, kv)
-        D = solve_boundary(P, Q, R, u)
+        D = solve_boundary(*boundary_vectors(alpha, A, B, km, kf, kv), u)
     except (RootClassificationError, NullSpaceError, SingularBoundaryError) as exc:
         raise type(exc)(f"{exc}{_context(u, p)}") from exc
-    return LaplaceAssembly(params=p, u=u, mterms=m, alpha=alpha, A=A, B=B,
-                           P_scaled=P, Q_scaled=Q, R_scaled=R, D_scaled=D)
+    return LaplaceAssembly(params=p, u=u, mterms=m, alpha=alpha, A=A, B=B, D_scaled=D)
 
 
 def wellbore_pressure_laplace(p: TriplePorosityParams, u: float) -> float:
@@ -422,21 +434,12 @@ def wellbore_pressure_laplace(p: TriplePorosityParams, u: float) -> float:
 def field_pressure_laplace(p: TriplePorosityParams, u: float,
                            r_d: float) -> tuple[float, float, float]:
     """Laplace-space pressures (matrix, fracture, vug) at radius r_d >= 1."""
-    r_d = float(r_d)
-    if not (math.isfinite(r_d) and r_d >= 1.0):
-        raise ValueError(f"r_d must be >= 1, got {r_d!r}")
+    r_d = _check_radius(r_d)
     asm = laplace_assembly(p, u)
     # K0(alpha r) = k0e(alpha r) e^{-alpha r}; with D_scaled = D e^{-alpha}
     # the net factor is e^{-alpha (r-1)}, which underflows harmlessly.
-    terms = []
-    for i in range(3):
-        a = asm.alpha[i]
-        terms.append(asm.D_scaled[i] * bessel_k0_scaled(a * r_d)
-                     * math.exp(-a * (r_d - 1.0)))
-    pv = math.fsum(terms)
-    pm = math.fsum(asm.A[i] * terms[i] for i in range(3))
-    pf = math.fsum(asm.B[i] * terms[i] for i in range(3))
-    return pm, pf, pv
+    return asm._modal_sum(*(bessel_k0_scaled(a * r_d) * math.exp(-a * (r_d - 1.0))
+                            for a in asm.alpha))
 
 
 def single_medium_pressure_laplace(alpha_order: float, u: float,
@@ -449,9 +452,7 @@ def single_medium_pressure_laplace(alpha_order: float, u: float,
     if not 0.0 < alpha_order <= 1.0:
         raise ValueError(f"fractional order must be in (0, 1], got {alpha_order!r}")
     u = _check_u(u)
-    r_d = float(r_d)
-    if not (math.isfinite(r_d) and r_d >= 1.0):
-        raise ValueError(f"r_d must be >= 1, got {r_d!r}")
+    r_d = _check_radius(r_d)
     z = math.sqrt(u**alpha_order)
     val = bessel_k0_scaled(r_d * z) / (u * z * bessel_k1_scaled(z))
     if r_d != 1.0:
@@ -463,22 +464,42 @@ def to_dimensionless(phys: PhysicalParams) -> DimensionlessTransform:
     """Dimensionless parameters and scale factors from dimensional quantities.
 
     Raises ValueError when the derived groups are inadmissible, e.g. a k_m
-    so small against k_f + k_v that kappa_f + kappa_v rounds to 1.
+    so small against k_f + k_v that kappa_f + kappa_v rounds to 1; when
+    kappa_m or omega_m, formed by subtraction, misses its direct ratio
+    k_m / sum k or phi_m c_m / storage by more than RATIO_TOL relative; or
+    when r_w**2, t_scale or p_scale is not finite and > 0.
     """
     storage = phys.phi_m * phys.c_m + phys.phi_f * phys.c_f + phys.phi_v * phys.c_v
     ksum = phys.k_m + phys.k_f + phys.k_v
-    lam = phys.mu * phys.r_w**2 / ksum
+    try:
+        rw2 = phys.r_w**2
+    except OverflowError as exc:
+        raise ValueError(f"r_w**2 overflows for r_w = {phys.r_w!r}") from exc
+    lam = phys.mu * rw2 / ksum
+    params = TriplePorosityParams(
+        omega_f=phys.phi_f * phys.c_f / storage,
+        omega_v=phys.phi_v * phys.c_v / storage,
+        kappa_f=phys.k_f / ksum,
+        kappa_v=phys.k_v / ksum,
+        lambda_mf=phys.a_mf * lam,
+        lambda_mv=phys.a_mv * lam,
+        lambda_fv=phys.a_fv * lam)
+    for name, derived, direct in (("kappa_m", params.kappa_m, phys.k_m / ksum),
+                                  ("omega_m", params.omega_m, phys.phi_m * phys.c_m / storage)):
+        if not abs(derived - direct) <= RATIO_TOL * direct:
+            raise ValueError(f"{name} = {derived!r} by subtraction misses its direct "
+                             f"ratio {direct!r} by more than {RATIO_TOL} relative")
     return DimensionlessTransform(
-        params=TriplePorosityParams(
-            omega_f=phys.phi_f * phys.c_f / storage,
-            omega_v=phys.phi_v * phys.c_v / storage,
-            kappa_f=phys.k_f / ksum,
-            kappa_v=phys.k_v / ksum,
-            lambda_mf=phys.a_mf * lam,
-            lambda_mv=phys.a_mv * lam,
-            lambda_fv=phys.a_fv * lam),
-        t_scale=ksum / (phys.mu * phys.r_w**2 * storage),
-        p_scale=2.0 * math.pi * phys.h * ksum / (phys.q0 * phys.b0 * phys.mu))
+        params=params,
+        t_scale=_scale("t_scale", ksum, phys.mu * rw2 * storage),
+        p_scale=_scale("p_scale", 2.0 * math.pi * phys.h * ksum, phys.q0 * phys.b0 * phys.mu))
+
+
+def _scale(name: str, num: float, den: float) -> float:
+    value = num / den if den > 0.0 else math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} = {num!r} / {den!r} must be finite and > 0")
+    return value
 
 
 def from_dimensionless(p_d: float, scales: DimensionlessTransform,

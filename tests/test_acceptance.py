@@ -31,8 +31,8 @@ import pytest
 from triporo.cli import main
 from triporo.curves import log_time_grid, pressure_curve, read_curve
 from triporo.inversion import StehfestScheme, invert, invert_mp
-from triporo.model import (TriplePorosityParams, laplace_assembly,
-                           single_medium_pressure_laplace,
+from triporo.model import (TriplePorosityParams, boundary_vectors,
+                           laplace_assembly, single_medium_pressure_laplace,
                            wellbore_pressure_laplace)
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
@@ -170,8 +170,8 @@ def test_criterion_3_laplace_structural_residuals():
                 resid = M @ vec
                 scale = max(np.linalg.norm(M, axis=1)) * np.linalg.norm(vec)
                 worst_ns = max(worst_ns, float(np.max(np.abs(resid))) / scale)
-            P, Q, R, D = (np.array(asm.P_scaled), np.array(asm.Q_scaled),
-                          np.array(asm.R_scaled), np.array(asm.D_scaled))
+            P, Q, R = map(np.array, boundary_vectors(asm.alpha, asm.A, asm.B, km, kf, kv))
+            D = np.array(asm.D_scaled)
             worst_bnd = max(
                 worst_bnd, abs(float(np.dot(P, D)) * float(u) - 1.0),
                 abs(float(np.dot(Q, D))) / (np.linalg.norm(Q) * np.linalg.norm(D)),

@@ -307,6 +307,16 @@ def test_laplace_grid_form(tmp_path):
     assert len(out.read_text().splitlines()) == 6  # header + 5 points
 
 
+def test_laplace_grid_bounds_are_named(tmp_path, capsys):
+    for bounds, name in (("u_min = -1\nu_max = 10", "u_min"),
+                         ("u_min = 1\nu_max = 0.5", "u_max")):
+        cfg = write_cfg(tmp_path, MODEL_BLOCK + f"\n[laplace]\n{bounds}\n")
+        assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid [laplace] grid: {name} must")
+        assert "t_min" not in err and "t_max" not in err
+
+
 def test_laplace_requires_section(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_BLOCK)
     assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 1
@@ -376,19 +386,34 @@ def test_dimensionless_zero_permeability(tmp_path, capsys):
 
 
 def test_inadmissible_derived_groups_give_one_message(tmp_path, capsys):
-    # k_m is positive, but kappa_f + kappa_v rounds to 1, so kappa_m = 0.
-    cfg = write_cfg(tmp_path, PHYSICAL_BLOCK.replace("k_m = 1e-15", "k_m = 1e-300")
-                    .replace("k_f = 8e-14", "k_f = 1e-14")
-                    .replace("k_v = 2e-15", "k_v = 1e-14"))
     out = tmp_path / "c.csv"
-    assert main(["curve", "--config", cfg, "--out", str(out)]) == 1
-    curve = capsys.readouterr()
-    assert main(["dimensionless", "--config", cfg]) == 1
-    dimensionless = capsys.readouterr()
-    assert curve.err == dimensionless.err == (
-        "error: invalid derived dimensionless parameters: "
-        "kappa_f + kappa_v must be < 1, got 1.0\n")
-    assert curve.out == dimensionless.out == "" and not out.exists()
+    for edits, message in (
+            # k_m is positive, but kappa_f + kappa_v rounds to 1, so kappa_m = 0.
+            ((("k_m = 1e-15", "k_m = 1e-300"), ("k_f = 8e-14", "k_f = 1e-14"),
+              ("k_v = 2e-15", "k_v = 1e-14")),
+             "kappa_f + kappa_v must be < 1, got 1.0"),
+            # 1 - kappa_f - kappa_v is rounding noise against k_m / sum k.
+            ((("k_m = 1e-15", "k_m = 1e-300"),),
+             "kappa_m = 2.0816681711721685e-17 by subtraction misses its direct "
+             "ratio 1.2195121951219512e-287 by more than 1e-08 relative"),
+            # mu r_w^2 storage underflows to 0.
+            ((("mu = 1e-3", "mu = 1e-300"), ("r_w = 0.1", "r_w = 1e-10")),
+             "t_scale = 8.3e-14 / 0.0 must be finite and > 0"),
+            # q0 b0 mu is subnormal, so p_scale would be inf.
+            ((("q0 = 1e-3", "q0 = 1e-320"),),
+             "p_scale = 5.215043804959057e-12 / 1e-323 must be finite and > 0"),
+            ((("r_w = 0.1", "r_w = 1e200"),), "r_w**2 overflows for r_w = 1e+200")):
+        text = PHYSICAL_BLOCK
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, text)
+        assert main(["curve", "--config", cfg, "--out", str(out)]) == 1
+        curve = capsys.readouterr()
+        assert main(["dimensionless", "--config", cfg]) == 1
+        dimensionless = capsys.readouterr()
+        assert curve.err == dimensionless.err == (
+            f"error: invalid derived dimensionless parameters: {message}\n")
+        assert curve.out == dimensionless.out == "" and not out.exists()
 
 
 def test_physical_betas_are_checked(tmp_path, capsys):

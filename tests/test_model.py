@@ -325,9 +325,16 @@ def test_solve_boundary_refuses_nan_entry():
         solve_boundary((1, 0, 0), (0, math.nan, 0), (0, 0, 1), 1.0)
 
 
+def _boundary_rows(asm):
+    """The scaled boundary rows (P, Q, R) that the assembly's weights solve."""
+    p = asm.params
+    return boundary_vectors(asm.alpha, asm.A, asm.B, p.kappa_m, p.kappa_f, p.kappa_v)
+
+
 def test_boundary_residuals_on_reference_set(ref_params):
     asm = laplace_assembly(ref_params, 1.0)
-    P, Q, R, D = asm.P_scaled, asm.Q_scaled, asm.R_scaled, asm.D_scaled
+    P, Q, R = _boundary_rows(asm)
+    D = asm.D_scaled
     assert math.fsum(p * d for p, d in zip(P, D)) == pytest.approx(1.0, rel=1e-10)
     qd = math.fsum(q * d for q, d in zip(Q, D))
     rd = math.fsum(r * d for r, d in zip(R, D))
@@ -341,8 +348,7 @@ def test_boundary_residuals_on_reference_set(ref_params):
 
 
 def test_boundary_condition_number_reasonable(ref_params):
-    asm = laplace_assembly(ref_params, 1.0)
-    M = np.array([asm.P_scaled, asm.Q_scaled, asm.R_scaled])
+    M = np.array(_boundary_rows(laplace_assembly(ref_params, 1.0)))
     assert np.all(np.isfinite(M))
     assert np.linalg.cond(M) < 1e12
 
@@ -515,11 +521,12 @@ def test_inadmissible_roots_are_refused_before_the_boundary_solve(kwargs, u, mes
 # ------------------------------------------------------ field pressures
 
 def test_field_pressure_at_wellbore_equals_pw(ref_params):
-    pw = wellbore_pressure_laplace(ref_params, 1.0)
-    pm, pf, pv = field_pressure_laplace(ref_params, 1.0, 1.0)
-    assert pm == pytest.approx(pw, rel=1e-9)
-    assert pf == pytest.approx(pw, rel=1e-9)
-    assert pv == pytest.approx(pw, rel=1e-9)
+    # One modal sum serves both: at r_d = 1 the field triple is the checked
+    # wellbore triple, bit for bit.
+    for betas in ((1.0, 1.0, 1.0), (0.9, 0.8, 0.7)):
+        p = ref_params.with_betas(*betas)
+        for u in log_time_grid(1e-8, 1e6, 4):
+            assert field_pressure_laplace(p, u, 1.0) == laplace_assembly(p, u).wellbore_pressures()
 
 
 def test_field_pressure_decays_with_radius(ref_params):
@@ -623,9 +630,19 @@ def test_symmetric_media_map():
 
 
 def test_inadmissible_derived_groups_are_refused():
-    # k_m is positive, but kappa_f + kappa_v rounds to 1, so kappa_m = 0.
-    with pytest.raises(ValueError, match=r"kappa_f \+ kappa_v must be < 1"):
-        to_dimensionless(_symmetric_physical(k_m=1e-300))
+    for overrides, message in (
+            # k_m is positive, but kappa_f + kappa_v rounds to 1, so kappa_m = 0.
+            (dict(k_m=1e-300), r"kappa_f \+ kappa_v must be < 1"),
+            # 1 - kappa_f - kappa_v gives 2.08e-17, where k_m / sum k = 1.2e-287.
+            (dict(k_m=1e-300, k_f=8e-14, k_v=2e-15),
+             r"kappa_m = 2\.08\d*e-17 by subtraction misses its direct ratio 1\.2\d*e-287"),
+            (dict(phi_m=1e-300), r"omega_m = 0\.0 by subtraction misses"),
+            # mu r_w^2 storage underflows to 0; q0 b0 mu is subnormal, so p_scale = inf.
+            (dict(mu=1e-300, r_w=1e-10), r"t_scale = 3e-14 / 0\.0 must be finite and > 0"),
+            (dict(q0=1e-320), r"p_scale = .* / 1e-323 must be finite and > 0"),
+            (dict(r_w=1e200), r"r_w\*\*2 overflows for r_w = 1e\+200")):
+        with pytest.raises(ValueError, match=message):
+            to_dimensionless(_symmetric_physical(**overrides))
 
 
 def test_ratios_sum_to_one():
@@ -692,7 +709,7 @@ def test_assembly_unscaled_views(ref_params):
 def test_assembly_extreme_u_stays_finite(ref_params):
     asm = laplace_assembly(ref_params, 1e6)
     assert all(math.isfinite(v) for v in asm.D_scaled)
-    assert all(math.isfinite(v) for v in asm.P_scaled)
+    assert all(math.isfinite(v) for v in _boundary_rows(asm)[0])
     pm, pf, pv = asm.wellbore_pressures()
     assert math.isfinite(pv) and pv > 0.0
 
