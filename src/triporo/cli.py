@@ -15,7 +15,8 @@ import sys
 import time
 from pathlib import Path
 
-from .curves import _write_text, log_time_grid, pressure_curve, write_curve
+from .curves import (CURVE_FORMATS, log_time_grid, pressure_curve, write_csv,
+                     write_curve)
 from .inversion import StehfestScheme, TransformEvaluationError
 from .model import (ConsistencyError, DimensionlessTransform, NullSpaceError,
                     PhysicalParams, SingularBoundaryError,
@@ -118,14 +119,21 @@ def _build_transform(cfg) -> DimensionlessTransform:
         raise ConfigError(f"invalid derived dimensionless parameters: {exc}") from exc
 
 
-def _build_grid(cfg) -> list[float]:
-    t_min = _get_float(cfg, "grid", "t_min", 1e-2)
-    t_max = _get_float(cfg, "grid", "t_max", 1e8)
-    ppd = _get_int(cfg, "grid", "points_per_decade", 10)
+def _log_grid(cfg, section: str, where: str, lo_key: str, hi_key: str,
+              lo=None, hi=None) -> list[float]:
+    """Log grid from ``section``; a bound without a default is required."""
+    lo = _get_float(cfg, section, lo_key, lo)
+    hi = _get_float(cfg, section, hi_key, hi)
+    ppd = _get_int(cfg, section, "points_per_decade", 10)
+    # log_time_grid names its bounds t_min and t_max; check ours by their keys.
+    if not (math.isfinite(lo) and lo > 0.0):
+        raise ConfigError(f"invalid {where}: {lo_key} must be positive, got {lo!r}")
+    if not (math.isfinite(hi) and hi > lo):
+        raise ConfigError(f"invalid {where}: {hi_key} must exceed {lo_key}, got {hi!r}")
     try:
-        return log_time_grid(t_min, t_max, ppd)
+        return log_time_grid(lo, hi, ppd)
     except ValueError as exc:
-        raise ConfigError(f"invalid [grid]: {exc}") from exc
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _build_scheme(cfg, args) -> StehfestScheme:
@@ -154,8 +162,8 @@ def _out_format(cfg, args) -> str:
         fmt = cfg.get("output", "format")
     else:
         fmt = "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {fmt!r}")
+    if fmt not in CURVE_FORMATS:
+        raise ConfigError(f"output format must be {' or '.join(CURVE_FORMATS)}, got {fmt!r}")
     return fmt
 
 
@@ -167,7 +175,7 @@ def _say(args, msg: str) -> None:
 def cmd_curve(args) -> int:
     cfg = _load(args.config)
     params = _build_params(cfg)
-    grid = _build_grid(cfg)
+    grid = _log_grid(cfg, "grid", "[grid]", "t_min", "t_max", 1e-2, 1e8)
     scheme = _build_scheme(cfg, args)
     fmt = _out_format(cfg, args)
     out = _out_path(cfg, args, "curve", fmt)
@@ -202,7 +210,7 @@ def _sweep_triples(cfg) -> list[tuple[float, float, float]]:
 def cmd_sweep(args) -> int:
     cfg = _load(args.config)
     params = _build_params(cfg)
-    grid = _build_grid(cfg)
+    grid = _log_grid(cfg, "grid", "[grid]", "t_min", "t_max", 1e-2, 1e8)
     scheme = _build_scheme(cfg, args)
     fmt = _out_format(cfg, args)
     base = _out_path(cfg, args, "sweep", fmt)
@@ -235,26 +243,14 @@ def _u_grid(cfg) -> list[float]:
             raise ConfigError(f"bad u_values entry: {exc}") from exc
         if not us:
             raise ConfigError("[laplace] u_values is empty")
-    elif cfg.has_section("laplace"):
-        u_min = _get_float(cfg, "laplace", "u_min")
-        u_max = _get_float(cfg, "laplace", "u_max")
-        ppd = _get_int(cfg, "laplace", "points_per_decade", 10)
-        # log_time_grid names its bounds t_min and t_max; check ours first.
-        if not (math.isfinite(u_min) and u_min > 0.0):
-            raise ConfigError(f"invalid [laplace] grid: u_min must be positive, got {u_min!r}")
-        if not (math.isfinite(u_max) and u_max > u_min):
-            raise ConfigError(f"invalid [laplace] grid: u_max must exceed u_min, got {u_max!r}")
-        try:
-            us = log_time_grid(u_min, u_max, ppd)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [laplace] grid: {exc}") from exc
-    else:
-        raise ConfigError("laplace command needs a [laplace] section "
-                          "(u_values or u_min/u_max)")
-    bad = [u for u in us if not (math.isfinite(u) and u > 0.0)]
-    if bad:
-        raise ConfigError(f"u grid must be positive and finite, got {bad}")
-    return us
+        bad = [u for u in us if not (math.isfinite(u) and u > 0.0)]
+        if bad:
+            raise ConfigError(f"u grid must be positive and finite, got {bad}")
+        return us
+    if cfg.has_section("laplace"):
+        return _log_grid(cfg, "laplace", "[laplace] grid", "u_min", "u_max")
+    raise ConfigError("laplace command needs a [laplace] section "
+                      "(u_values or u_min/u_max)")
 
 
 def cmd_laplace(args) -> int:
@@ -264,16 +260,13 @@ def cmd_laplace(args) -> int:
     if cfg.get("output", "format", fallback="csv") != "csv":
         raise ConfigError("laplace command writes csv only")
     out = _out_path(cfg, args, "laplace", "csv")
-    lines = [LAPLACE_HEADER]
+    rows = []
     t0 = time.perf_counter()
     for u in us:
         asm = laplace_assembly(params, u)
-        m = asm.mterms
         _, _, pw = asm.wellbore_pressures()
-        row = [u, m.m1, m.m2, m.m3, m.m4, m.m5, m.m6,
-               *asm.alpha, *asm.A, *asm.B, *asm.D, pw]
-        lines.append(",".join(repr(float(v)) for v in row))
-    _write_text("\n".join(lines) + "\n", out)
+        rows.append((u, *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D, pw))
+    write_csv(LAPLACE_HEADER, rows, out)
     _say(args, f"laplace: wrote {out} ({len(us)} rows, {time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 
@@ -299,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
 
     flags = {
         "--out": dict(help="output path (overrides [output] path)"),
-        "--format": dict(choices=("csv", "json"),
+        "--format": dict(choices=CURVE_FORMATS,
                          help="output format (overrides [output] format)"),
         "--stehfest-n": dict(type=int, dest="stehfest_n",
                              help="Stehfest order, even, 2..20 (overrides [inversion])"),

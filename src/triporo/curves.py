@@ -2,12 +2,10 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .inversion import StehfestScheme, invert
 from .model import TriplePorosityParams, wellbore_pressure_laplace
-
-CSV_HEADER = "t_D,p_w,dp_w_dlnt"
 
 
 @dataclass(frozen=True)
@@ -17,6 +15,10 @@ class CurvePoint:
     t_D: float
     p_w: float
     dp_w_dlnt: float | None = None
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CurvePoint))
+CURVE_FORMATS = ("csv", "json")
 
 
 def log_time_grid(t_min: float, t_max: float, points_per_decade: int) -> list[float]:
@@ -91,21 +93,12 @@ def pressure_curve(p: TriplePorosityParams, grid, scheme: StehfestScheme) -> lis
             for t, v, d in zip(grid, values, derivs)]
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
-
-
-def curve_to_csv(points) -> str:
-    lines = [CSV_HEADER]
-    for pt in points:
-        lines.append(f"{_fmt(pt.t_D)},{_fmt(pt.p_w)},{_fmt(pt.dp_w_dlnt)}")
-    return "\n".join(lines) + "\n"
-
-
-def curve_to_json(points) -> str:
-    payload = [{"t_D": pt.t_D, "p_w": pt.p_w, "dp_w_dlnt": pt.dp_w_dlnt}
-               for pt in points]
-    return json.dumps(payload, indent=2) + "\n"
+def write_csv(header: str, rows, destination) -> None:
+    """Write a header line and one line per row: each value in round-trip
+    precision, None as an empty field."""
+    lines = [header]
+    lines += [",".join("" if v is None else repr(float(v)) for v in row) for row in rows]
+    _write_text("\n".join(lines) + "\n", destination)
 
 
 def write_curve(points, fmt: str, destination) -> None:
@@ -114,12 +107,11 @@ def write_curve(points, fmt: str, destination) -> None:
     if not points:
         raise ValueError("refusing to write an empty curve")
     if fmt == "csv":
-        text = curve_to_csv(points)
+        write_csv(CSV_HEADER, (vars(pt).values() for pt in points), destination)
     elif fmt == "json":
-        text = curve_to_json(points)
+        _write_text(json.dumps([vars(pt) for pt in points], indent=2) + "\n", destination)
     else:
         raise ValueError(f"unknown curve format {fmt!r}")
-    _write_text(text, destination)
 
 
 def _write_text(text: str, destination) -> None:

@@ -7,6 +7,7 @@ import pytest
 
 from triporo.cli import LAPLACE_HEADER, main
 from triporo.curves import CSV_HEADER
+from triporo.model import laplace_assembly
 
 MODEL_BLOCK = """\
 [model]
@@ -86,10 +87,14 @@ def test_curve_json_format(tmp_path):
 
 
 def test_missing_key_names_it(tmp_path, capsys):
-    broken = MODEL_BLOCK.replace("omega_v = 0.8\n", "")
-    cfg = write_cfg(tmp_path, broken + SMALL_RUN)
-    assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
-    assert "omega_v" in capsys.readouterr().err
+    for old, new, line in (
+            ("omega_v = 0.8\n", "", "error: missing required key 'omega_v' in [model]\n"),
+            ("omega_f = 0.02", "omega_f = abc",
+             "error: key 'omega_f' in [model] is not a number: 'abc'\n"),
+            ("[model]", "[model", "error: malformed config")):
+        cfg = write_cfg(tmp_path, MODEL_BLOCK.replace(old, new) + SMALL_RUN)
+        assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err.startswith(line)
 
 
 def test_invariant_violation_exits_one(tmp_path, capsys):
@@ -230,9 +235,17 @@ triples =
     assert "1.5" in capsys.readouterr().err
 
 
-def test_sweep_requires_triples(tmp_path):
-    cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 1
+def test_sweep_requires_triples(tmp_path, capsys):
+    for sweep, msg in (
+            ("", "missing required key 'triples' in [sweep]"),
+            ("[sweep]\ntriples =\n", "sweep.triples is empty"),
+            ("[sweep]\ntriples =\n    0.9 0.8\n", "sweep triple must have 3 values, got '0.9 0.8'"),
+            ("[sweep]\ntriples =\n    0.9 0.8 x\n",
+             "bad sweep triple '0.9 0.8 x': could not convert string to float: 'x'")):
+        cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN + "\n" + sweep)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
+    assert not list(tmp_path.glob("s*.csv"))
 
 
 def test_laplace_runs_the_consistency_check(tmp_path, monkeypatch, capsys):
@@ -255,13 +268,16 @@ def test_laplace_reports_unsolvable_large_u_as_model_error(tmp_path, capsys):
         assert err.startswith("model error:") and f"u={float(big)!r}" in err
 
 
-def test_laplace_single_u(tmp_path):
+def test_laplace_single_u(tmp_path, ref_params):
     cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN + "\n[laplace]\nu_values = 1.0\n")
     out = tmp_path / "lap.csv"
     assert main(["laplace", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    asm = laplace_assembly(ref_params, 1.0)
+    _, _, pw = asm.wellbore_pressures()
+    fields = (1.0, *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D, pw)
+    expected = LAPLACE_HEADER + "\n" + ",".join(repr(float(v)) for v in fields) + "\n"
+    assert out.read_bytes() == expected.encode()
     lines = out.read_text().splitlines()
-    assert lines[0] == LAPLACE_HEADER
-    assert len(lines) == 2
     row = [float(v) for v in lines[1].split(",")]
     assert len(row) == 20
     assert all(v == v and abs(v) != float("inf") for v in row)  # finite
@@ -283,11 +299,13 @@ def test_laplace_single_u(tmp_path):
 
 
 def test_laplace_rejects_nonpositive_u(tmp_path, capsys):
-    for bad in ("-2.0", "nan", "inf"):
+    for bad, msg in (("-2.0", "u grid must be positive and finite, got [-2.0]"),
+                     ("nan", "u grid must be positive and finite, got [nan]"),
+                     ("inf", "u grid must be positive and finite, got [inf]"),
+                     ("x", "bad u_values entry: could not convert string to float: 'x'")):
         cfg = write_cfg(tmp_path, MODEL_BLOCK + f"\n[laplace]\nu_values = 1.0 {bad}\n")
         assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and bad in err
+        assert capsys.readouterr().err == f"error: {msg}\n"
 
 
 def test_laplace_rejects_empty_u_values(tmp_path, capsys):
@@ -308,13 +326,25 @@ def test_laplace_grid_form(tmp_path):
 
 
 def test_laplace_grid_bounds_are_named(tmp_path, capsys):
-    for bounds, name in (("u_min = -1\nu_max = 10", "u_min"),
-                         ("u_min = 1\nu_max = 0.5", "u_max")):
+    for bounds, msg in (
+            ("u_min = -1\nu_max = 10", "u_min must be positive, got -1.0"),
+            ("u_min = 1\nu_max = 0.5", "u_max must exceed u_min, got 0.5"),
+            ("u_min = 0.1\nu_max = 10\npoints_per_decade = 0",
+             "points_per_decade must be an integer >= 1, got 0")):
         cfg = write_cfg(tmp_path, MODEL_BLOCK + f"\n[laplace]\n{bounds}\n")
         assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid [laplace] grid: {name} must")
-        assert "t_min" not in err and "t_max" not in err
+        assert capsys.readouterr().err == f"error: invalid [laplace] grid: {msg}\n"
+
+
+def test_time_grid_errors_name_the_key(tmp_path, capsys):
+    for grid, msg in (
+            ("t_min = -1", "t_min must be positive, got -1.0"),
+            ("t_min = 10\nt_max = 1", "t_max must exceed t_min, got 1.0"),
+            ("points_per_decade = 0", "points_per_decade must be an integer >= 1, got 0")):
+        cfg = write_cfg(tmp_path, MODEL_BLOCK + f"\n[grid]\n{grid}\n")
+        assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err == f"error: invalid [grid]: {msg}\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_laplace_requires_section(tmp_path):

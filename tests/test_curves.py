@@ -178,6 +178,8 @@ def test_json_absent_derivative_is_null(tmp_path):
     out = tmp_path / "nod.json"
     write_curve([CurvePoint(1.0, 2.0, None)], "json", out)
     assert json.loads(out.read_text()) == [{"t_D": 1.0, "p_w": 2.0, "dp_w_dlnt": None}]
+    assert out.read_bytes() == (b'[\n  {\n    "t_D": 1.0,\n    "p_w": 2.0,\n'
+                                b'    "dp_w_dlnt": null\n  }\n]\n')
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -198,6 +200,16 @@ def test_write_empty_curve_rejected(tmp_path):
 def test_write_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_curve([CurvePoint(1.0, 2.0)], "xml", tmp_path / "x.xml")
+    write_curve([CurvePoint(1.0, 2.0)], "csv", tmp_path / "x.csv")
+    with pytest.raises(ValueError, match="unknown curve format 'xml'"):
+        read_curve(tmp_path / "x.csv", "xml")
+
+
+def test_read_curve_refuses_a_foreign_header(tmp_path):
+    other = tmp_path / "other.csv"
+    other.write_text("t,p,dp\n1.0,2.0,0.5\n")
+    with pytest.raises(ValueError, match="bad curve header"):
+        read_curve(other)
 
 
 def test_write_io_error_names_path(tmp_path):

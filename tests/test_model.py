@@ -452,6 +452,48 @@ def test_classic_reduction_against_independent_implementation(ref_params):
         assert mine == pytest.approx(expected, rel=1e-12)
 
 
+def closed_form_wellbore(p, u_float):
+    """Laplace-space wellbore pressure 1/(u sum_j s_j alpha_j K1(alpha_j)/K0(alpha_j)).
+
+    T = K^-1/2 S K^-1/2 with K = diag(kappa); S has diagonal r_i + sum_j
+    lambda_ij, r_i = u^beta_i omega_i, and off-diagonals -lambda.  Its
+    eigenpairs are (alpha_j^2, w_j), and s_j = (y.w_j)^2 with y = sqrt(kappa).
+    No roots and no boundary solve.
+    """
+    u = mp.mpf(u_float)
+    kappa = [mp.mpf(k) for k in (p.kappa_m, p.kappa_f, p.kappa_v)]
+    r = [u ** mp.mpf(b) * mp.mpf(w) for b, w in ((p.beta_m, p.omega_m),
+                                                   (p.beta_f, p.omega_f),
+                                                   (p.beta_v, p.omega_v))]
+    lam = {(0, 1): p.lambda_mf, (0, 2): p.lambda_mv, (1, 2): p.lambda_fv}
+    S = mp.matrix(3, 3)
+    for (i, j), value in lam.items():
+        S[i, j] = S[j, i] = -mp.mpf(value)
+    for i in range(3):
+        S[i, i] = r[i] - sum(S[i, j] for j in range(3) if j != i)
+    T = mp.matrix(3, 3)
+    for i in range(3):
+        for j in range(3):
+            T[i, j] = S[i, j] / mp.sqrt(kappa[i] * kappa[j])
+    eigenvalues, W = mp.eigsy(T)
+    total = 0
+    for j in range(3):
+        alpha = mp.sqrt(eigenvalues[j])
+        s_j = sum(mp.sqrt(kappa[i]) * W[i, j] for i in range(3)) ** 2
+        total += s_j * alpha * mp.besselk(1, alpha) / mp.besselk(0, alpha)
+    return 1 / (u * total)
+
+
+@pytest.mark.parametrize("betas", [(0.9, 0.8, 0.7), (0.77, 0.56, 0.6)])
+def test_fractional_orders_against_closed_form(ref_params, betas):
+    p = ref_params.with_betas(*betas)
+    for k in range(-10, 7):
+        u = 10.0 ** k
+        with mp.workdps(40):
+            expected = closed_form_wellbore(p, u)
+        assert wellbore_pressure_laplace(p, u) == pytest.approx(float(expected), rel=1e-12)
+
+
 def test_classic_betas_share_the_fractional_path(ref_params):
     # No special-casing of order 1: explicitly setting the orders must give
     # bit-identical results to the defaults.
