@@ -32,9 +32,9 @@ def log_time_grid(t_min: float, t_max: float, points_per_decade: int) -> list[fl
         raise ValueError(f"points_per_decade must be an integer >= 1, got {points_per_decade!r}")
     lo, hi = math.log10(t_min), math.log10(t_max)
     n = max(1, round((hi - lo) * points_per_decade)) + 1
-    grid = [10.0 ** (lo + (hi - lo) * k / (n - 1)) for k in range(n)]
-    grid[0], grid[-1] = t_min, t_max
-    return grid
+    # Only interior points are formed: 10.0 ** log10(t_max) can overflow
+    # when t_max is within rounding of the largest double.
+    return [t_min, *[10.0 ** (lo + (hi - lo) * k / (n - 1)) for k in range(1, n - 1)], t_max]
 
 
 def bourdet_derivative(grid, values) -> list[float]:

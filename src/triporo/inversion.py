@@ -121,14 +121,24 @@ def invert(transform, t: float, scheme: StehfestScheme) -> float:
     """Invert ``transform`` (a callable u -> F(u)) at time t > 0.
 
     Evaluator exceptions and non-finite F(u) raise TransformEvaluationError
-    with the offending u attached (the original exception is chained).
+    with the offending u attached (the original exception is chained).  So
+    does a weighted sum that overflows: it names the u of the first
+    non-finite weighted term, or else of the largest one.
     """
     t = _check_time(t)
     ratio = _LN2 / t
+    terms = [w * f for w, f in zip(scheme.weights, _samples(transform, t, ratio, scheme.n))]
     # fsum: the weights alternate in sign with large magnitude; the exact
     # summation preserves what accuracy the rounded terms still carry.
-    return ratio * math.fsum(
-        w * f for w, f in zip(scheme.weights, _samples(transform, t, ratio, scheme.n)))
+    try:
+        value = ratio * math.fsum(terms)
+        if math.isfinite(value):
+            return value
+        raise OverflowError(f"weighted sum {value!r} is not finite")
+    except (OverflowError, ValueError) as exc:  # fsum: "-inf + inf", "intermediate overflow"
+        k = next((k for k, x in enumerate(terms) if not math.isfinite(x)),
+                 max(range(len(terms)), key=lambda k: abs(terms[k])))
+        raise TransformEvaluationError((k + 1) * ratio, t, exc) from exc
 
 
 def invert_mp(transform, t: float, scheme: StehfestScheme) -> float:

@@ -260,12 +260,23 @@ def test_laplace_runs_the_consistency_check(tmp_path, monkeypatch, capsys):
 
 def test_laplace_reports_unsolvable_large_u_as_model_error(tmp_path, capsys):
     # The cubic overflows from u ~ 1.8e50 on this set and has non-finite
-    # coefficients from u ~ 1e150; both are model errors naming u.
-    for big in ("1e51", "1e200"):
-        cfg = write_cfg(tmp_path, MODEL_BLOCK + f"\n[laplace]\nu_values = 1.0 {big}\n")
+    # coefficients from u ~ 1e150; both are model errors naming u, also on a
+    # grid up to the largest double.
+    for laplace, u in (("u_values = 1.0 1e51", 1e51), ("u_values = 1.0 1e200", 1e200),
+                       ("u_min = 1e300\nu_max = 1.7976931348623157e308", 1e300)):
+        cfg = write_cfg(tmp_path, MODEL_BLOCK + f"\n[laplace]\n{laplace}\n")
         assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("model error:") and f"u={float(big)!r}" in err
+        assert err.startswith("model error:") and f"u={u!r}" in err
+
+
+def test_curve_whose_inversion_overflows_is_a_model_error(tmp_path, capsys):
+    # From t ~ 6e300 on, Stehfest's weighted terms overflow a double.
+    cfg = write_cfg(tmp_path, MODEL_BLOCK + "\n[grid]\nt_min = 1e300\n"
+                    "t_max = 1.7976931348623157e308\n")
+    assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err.startswith("model error: transform evaluation failed at u=")
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_laplace_single_u(tmp_path, ref_params):

@@ -27,6 +27,9 @@ def test_log_grid_long_span():
     g = log_time_grid(1e-2, 1e8, 10)
     assert len(g) == 101
     assert g[0] == 1e-2 and g[-1] == 1e8
+    # Up to the largest double: 10.0 ** log10(t_max) would overflow.
+    g = log_time_grid(1e300, 1.7976931348623157e308, 1)
+    assert len(g) == 9 and g[-1] == 1.7976931348623157e308
 
 
 def test_log_grid_validation():

@@ -168,6 +168,11 @@ def test_nonfinite_transform_values_are_refused():
             with pytest.raises(TransformEvaluationError, match="not finite") as err:
                 inverse(lambda u: bad if u > 2.0 else 1.0 / u, 1.0, s)
             assert err.value.u > 2.0 and err.value.t == 1.0
+    # Finite samples whose weighted terms overflow (invert_mp gives 1.0): the
+    # error names the u of the first non-finite term, k = 6.
+    with pytest.raises(TransformEvaluationError, match=r"\(t=1e\+303\)") as err:
+        invert(lambda u: 1.0 / u, 1e303, StehfestScheme.of_order(12))
+    assert err.value.u == 6 * (math.log(2.0) / 1e303)
 
 
 def test_invert_curve_constant():

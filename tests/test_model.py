@@ -6,6 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracle
+
 from triporo.curves import log_time_grid, pressure_curve
 from triporo.inversion import StehfestScheme
 from triporo.model import (ConsistencyError, MTerms, NullSpaceError,
@@ -178,59 +180,20 @@ def test_modal_null_space_residual_componentwise(ref_params):
             assert abs(resid[j]) <= 1e-8 * np.linalg.norm(M[j]) * np.linalg.norm(vec)
 
 
-def modal_coefficients_closed_form(alpha_i, m, kappa_m, kappa_f):
-    """(A_i, B_i) from the explicit two-equation elimination.
-
-    Oracle for the null-space route: it divides by m2 and by a 2x2 minor,
-    either of which can vanish for admissible parameters.
-    """
-    x = alpha_i * alpha_i
-    d11 = kappa_m * x - m.m1
-    d22 = kappa_f * x - m.m4
-    den = m.m2 * m.m2 - d11 * d22
-    if den == 0.0:
-        raise ZeroDivisionError("closed-form modal denominator vanishes")
-    a = (m.m3 * d22 - m.m2 * m.m5) / den
-    if m.m2 == 0.0:
-        raise ZeroDivisionError("closed-form B is undefined for lambda_mf = 0")
-    b = (-m.m3 - a * d11) / m.m2
-    return a, b
-
-
-def test_modal_closed_form_cross_check(ref_params):
-    # The explicit elimination (with the squared m2 in the denominator)
-    # agrees with the null-space route wherever its 2x2 minor is not
-    # cancellation-dominated.  The smallest and largest roots at u = 1
-    # qualify; the middle root's minor degenerates and is excluded.
-    m = m_terms(ref_params, 1.0)
-    asm = laplace_assembly(ref_params, 1.0)
-    for i in (0, 2):
-        a = asm.alpha[i]
-        A_cf, B_cf = modal_coefficients_closed_form(a, m, ref_params.kappa_m,
-                                                    ref_params.kappa_f)
-        assert A_cf == pytest.approx(asm.A[i], rel=1e-6)
-        assert B_cf == pytest.approx(asm.B[i], rel=1e-6)
-
-
-def test_modal_closed_form_wide_sweep(ref_params):
-    # Across u, compare wherever the minor keeps at least ~3 digits.
-    checked = 0
-    for u in np.logspace(-3, 3, 13):
-        m = m_terms(ref_params, float(u))
-        asm = laplace_assembly(ref_params, float(u))
-        for i, a in enumerate(asm.alpha):
-            x = a * a
-            d11 = ref_params.kappa_m * x - m.m1
-            d22 = ref_params.kappa_f * x - m.m4
-            den = m.m2 * m.m2 - d11 * d22
-            if abs(den) < 1e-3 * (m.m2 * m.m2 + abs(d11 * d22)):
-                continue
-            A_cf, B_cf = modal_coefficients_closed_form(a, m, ref_params.kappa_m,
-                                                        ref_params.kappa_f)
-            assert A_cf == pytest.approx(asm.A[i], rel=1e-6)
-            assert B_cf == pytest.approx(asm.B[i], rel=1e-6)
-            checked += 1
-    assert checked >= 10
+def test_modes_match_oracle(ref_params):
+    # alpha, A and B of all three modes, against the 40-digit eigenpairs
+    # (alpha_j^2, w_j) of T, with A = v_m/v_v and B = v_f/v_v of v = K^-1/2 w.
+    for betas in ((1.0, 1.0, 1.0), (0.9, 0.8, 0.7), (0.77, 0.56, 0.6)):
+        p = ref_params.with_betas(*betas)
+        for u in map(float, np.logspace(-6, 6, 25)):
+            asm = laplace_assembly(p, u)
+            with mp.workdps(40):
+                modes = oracle.modes(p, u)
+                v = [[wi / mp.sqrt(k) for wi, k in zip(w, (p.kappa_m, p.kappa_f, p.kappa_v))]
+                     for _, w in modes]
+                expected = [float(x) for x in ([a for a, _ in modes] + [vj[0] / vj[2] for vj in v]
+                                               + [vj[1] / vj[2] for vj in v])]
+            assert [*asm.alpha, *asm.A, *asm.B] == pytest.approx(expected, rel=1e-12), (betas, u)
 
 
 def test_modal_decoupled_medium_reports_degeneracy():
@@ -391,107 +354,28 @@ def test_collapsed_limit_matches_single_medium():
             assert triple == pytest.approx(single, rel=1e-4)
 
 
-def test_classic_reduction_against_independent_implementation(ref_params):
-    # Separately coded classic-case (all orders = 1) implementation:
-    # arbitrary-precision arithmetic, polynomial companion roots, LU solve
-    # on the column-equilibrated boundary system, mpmath Bessel functions.
-    def reference(kw, u_float):
-        om_f, om_v = mp.mpf(repr(kw["omega_f"])), mp.mpf(repr(kw["omega_v"]))
-        kf, kv = mp.mpf(repr(kw["kappa_f"])), mp.mpf(repr(kw["kappa_v"]))
-        lmf = mp.mpf(repr(kw["lambda_mf"]))
-        lmv = mp.mpf(repr(kw["lambda_mv"]))
-        lfv = mp.mpf(repr(kw["lambda_fv"]))
-        u = mp.mpf(repr(u_float))
-        km, om_m = 1 - kf - kv, 1 - om_f - om_v
-        m1 = u * om_m + lmf + lmv
-        m2, m3, m5 = lmf, lmv, lfv
-        m4 = u * om_f + lmf + lfv
-        m6 = u * om_v + lmv + lfv
-        c3 = km * kf * kv
-        c2 = -(km * (kf * m6 + kv * m4) + kf * kv * m1)
-        c1 = (km * m4 * m6 - km * m5 ** 2 + (kf * m6 + kv * m4) * m1
-              - kv * m2 ** 2 - kf * m3 ** 2)
-        c0 = (-m1 * m4 * m6 + m1 * m5 ** 2 + m2 ** 2 * m6
-              + 2 * m2 * m3 * m5 + m3 ** 2 * m4)
-        xs = sorted(mp.re(z) for z in mp.polyroots([c3, c2, c1, c0],
-                                                   maxsteps=200, extraprec=200))
-        al = [mp.sqrt(x) for x in xs]
-        A, B = [], []
-        for x in xs:
-            M = [[km * x - m1, m2, m3], [m2, kf * x - m4, m5], [m3, m5, kv * x - m6]]
-            best = None
-            for a, b in ((0, 1), (0, 2), (1, 2)):
-                ra, rb = M[a], M[b]
-                col = [ra[1] * rb[2] - ra[2] * rb[1],
-                       ra[2] * rb[0] - ra[0] * rb[2],
-                       ra[0] * rb[1] - ra[1] * rb[0]]
-                if best is None or max(abs(t) for t in col) > max(abs(t) for t in best):
-                    best = col
-            A.append(best[0] / best[2])
-            B.append(best[1] / best[2])
-        K0 = [mp.besselk(0, a) for a in al]
-        P = [al[i] * mp.besselk(1, al[i]) * (km * A[i] + kf * B[i] + kv) for i in range(3)]
-        Q = [(A[i] - 1) * K0[i] for i in range(3)]
-        R = [(B[i] - 1) * K0[i] for i in range(3)]
-        S = [mp.e ** al[i] for i in range(3)]
-        Ms = mp.matrix([[P[j] * S[j] for j in range(3)],
-                        [Q[j] * S[j] for j in range(3)],
-                        [R[j] * S[j] for j in range(3)]])
-        Dt = mp.lu_solve(Ms, mp.matrix([1 / u, 0, 0]))
-        return float(sum(Dt[i] * S[i] * K0[i] for i in range(3)))
-
-    kw = dict(omega_f=ref_params.omega_f, omega_v=ref_params.omega_v,
-              kappa_f=ref_params.kappa_f, kappa_v=ref_params.kappa_v,
-              lambda_mf=ref_params.lambda_mf, lambda_mv=ref_params.lambda_mv,
-              lambda_fv=ref_params.lambda_fv)
-    for u in np.logspace(-6, 6, 13):
-        mine = wellbore_pressure_laplace(ref_params, float(u))
-        # 30 digits return the same float as 60 and 120 for all 13 u.
-        with mp.workdps(30):
-            expected = reference(kw, float(u))
-        assert mine == pytest.approx(expected, rel=1e-12)
-
-
-def closed_form_wellbore(p, u_float):
-    """Laplace-space wellbore pressure 1/(u sum_j s_j alpha_j K1(alpha_j)/K0(alpha_j)).
-
-    T = K^-1/2 S K^-1/2 with K = diag(kappa); S has diagonal r_i + sum_j
-    lambda_ij, r_i = u^beta_i omega_i, and off-diagonals -lambda.  Its
-    eigenpairs are (alpha_j^2, w_j), and s_j = (y.w_j)^2 with y = sqrt(kappa).
-    No roots and no boundary solve.
-    """
-    u = mp.mpf(u_float)
-    kappa = [mp.mpf(k) for k in (p.kappa_m, p.kappa_f, p.kappa_v)]
-    r = [u ** mp.mpf(b) * mp.mpf(w) for b, w in ((p.beta_m, p.omega_m),
-                                                   (p.beta_f, p.omega_f),
-                                                   (p.beta_v, p.omega_v))]
-    lam = {(0, 1): p.lambda_mf, (0, 2): p.lambda_mv, (1, 2): p.lambda_fv}
-    S = mp.matrix(3, 3)
-    for (i, j), value in lam.items():
-        S[i, j] = S[j, i] = -mp.mpf(value)
-    for i in range(3):
-        S[i, i] = r[i] - sum(S[i, j] for j in range(3) if j != i)
-    T = mp.matrix(3, 3)
-    for i in range(3):
-        for j in range(3):
-            T[i, j] = S[i, j] / mp.sqrt(kappa[i] * kappa[j])
-    eigenvalues, W = mp.eigsy(T)
-    total = 0
-    for j in range(3):
-        alpha = mp.sqrt(eigenvalues[j])
-        s_j = sum(mp.sqrt(kappa[i]) * W[i, j] for i in range(3)) ** 2
-        total += s_j * alpha * mp.besselk(1, alpha) / mp.besselk(0, alpha)
-    return 1 / (u * total)
-
-
-@pytest.mark.parametrize("betas", [(0.9, 0.8, 0.7), (0.77, 0.56, 0.6)])
+@pytest.mark.parametrize("betas", [(0.9, 0.8, 0.7), (0.77, 0.56, 0.6), (1.0, 1.0, 1.0)])
 def test_fractional_orders_against_closed_form(ref_params, betas):
+    # Classic orders lose accuracy below u = 1e-6 (5e-13 at 1e-8, a known
+    # defect of the chain), so their range starts there.
     p = ref_params.with_betas(*betas)
-    for k in range(-10, 7):
+    for k in range(-6 if betas == (1.0, 1.0, 1.0) else -10, 7):
         u = 10.0 ** k
         with mp.workdps(40):
-            expected = closed_form_wellbore(p, u)
+            expected = oracle.wellbore(p, u)
         assert wellbore_pressure_laplace(p, u) == pytest.approx(float(expected), rel=1e-12)
+
+
+def test_oracle_agrees_with_itself_across_precisions(ref_params):
+    # p_w and alpha at 40 digits against 60; alpha_3 > 700 at u = 1e6.
+    p = ref_params.with_betas(0.9, 0.8, 0.7)
+    for u in (1e-6, 1.0, 1e6):
+        values = []
+        for dps in (40, 60):
+            with mp.workdps(dps):
+                values.append([oracle.wellbore(p, u), *(a for a, _ in oracle.modes(p, u))])
+        with mp.workdps(60):
+            assert all(abs(a - b) <= 1e-30 * b for a, b in zip(*values)), u
 
 
 def test_classic_betas_share_the_fractional_path(ref_params):
@@ -607,6 +491,16 @@ def test_field_pressure_satisfies_laplace_system(ref_params):
             assert abs(r_m) <= 1e-7 * max(abs(p.omega_m * u * pm), abs(km * lap_m))
             assert abs(r_f) <= 1e-7 * max(abs(p.omega_f * u * pf), abs(kf * lap_f))
             assert abs(r_v) <= 1e-7 * max(abs(p.omega_v * u * pv), abs(kv * lap_v))
+
+
+@pytest.mark.parametrize("betas", [(1.0, 1.0, 1.0), (0.9, 0.8, 0.7)])
+def test_field_pressure_beyond_the_well_matches_oracle(ref_params, betas):
+    p = ref_params.with_betas(*betas)
+    for u in (1e-4, 1e-2, 1.0):
+        for rd in (2.0, 10.0):
+            with mp.workdps(40):
+                expected = [float(v) for v in oracle.field(p, u, rd)]
+            assert field_pressure_laplace(p, u, rd) == pytest.approx(expected, rel=1e-12)
 
 
 def test_field_pressure_rejects_small_radius(ref_params):
@@ -783,16 +677,8 @@ def test_domain_probe_curves_and_roots(values, u_first):
     assert all(math.isfinite(v) for v in pw)
     assert all(b >= a for a, b in zip(pw, pw[1:]))
 
-    # Oracle: x = alpha^2 are the eigenvalues of kappa^-1/2 S kappa^-1/2,
-    # where M(x) = diag(kappa) x - S, taken at 60 digits from the same m-terms.
-    m = m_terms(p, u_first)
-    with mp.workdps(60):
-        s = [1 / mp.sqrt(mp.mpf(k)) for k in (p.kappa_m, p.kappa_f, p.kappa_v)]
-        S = mp.matrix([[m.m1, -m.m2, -m.m3], [-m.m2, m.m4, -m.m5], [-m.m3, -m.m5, m.m6]])
-        for i in range(3):
-            for j in range(3):
-                S[i, j] *= s[i] * s[j]
-        ref = sorted(mp.sqrt(x) for x in mp.eigsy(S, eigvals_only=True))
+    with mp.workdps(40):
+        ref = [alpha for alpha, _ in oracle.modes(p, u_first)]
         alpha = laplace_assembly(p, u_first).alpha
         worst = max(abs(a - r) / r for a, r in zip(alpha, ref))
     assert worst <= 1e-7
