@@ -180,20 +180,30 @@ def test_modal_null_space_residual_componentwise(ref_params):
             assert abs(resid[j]) <= 1e-8 * np.linalg.norm(M[j]) * np.linalg.norm(vec)
 
 
-def test_modes_match_oracle(ref_params):
-    # alpha, A and B of all three modes, against the 40-digit eigenpairs
-    # (alpha_j^2, w_j) of T, with A = v_m/v_v and B = v_f/v_v of v = K^-1/2 w.
-    for betas in ((1.0, 1.0, 1.0), (0.9, 0.8, 0.7), (0.77, 0.56, 0.6)):
-        p = ref_params.with_betas(*betas)
-        for u in map(float, np.logspace(-6, 6, 25)):
-            asm = laplace_assembly(p, u)
-            with mp.workdps(40):
-                modes = oracle.modes(p, u)
-                v = [[wi / mp.sqrt(k) for wi, k in zip(w, (p.kappa_m, p.kappa_f, p.kappa_v))]
-                     for _, w in modes]
-                expected = [float(x) for x in ([a for a, _ in modes] + [vj[0] / vj[2] for vj in v]
-                                               + [vj[1] / vj[2] for vj in v])]
-            assert [*asm.alpha, *asm.A, *asm.B] == pytest.approx(expected, rel=1e-12), (betas, u)
+def _assert_modes_match_oracle(p):
+    # alpha, A and B of all three modes over u = 1e-6..1e6, against the
+    # 40-digit eigenpairs (alpha_j^2, w_j) of T, with A = v_m/v_v and
+    # B = v_f/v_v of v = K^-1/2 w.  No mode is skipped.
+    for u in map(float, np.logspace(-6, 6, 25)):
+        asm = laplace_assembly(p, u)
+        with mp.workdps(40):
+            modes = oracle.modes(p, u)
+            v = [[wi / mp.sqrt(k) for wi, k in zip(w, (p.kappa_m, p.kappa_f, p.kappa_v))]
+                 for _, w in modes]
+            expected = [float(x) for x in ([a for a, _ in modes] + [vj[0] / vj[2] for vj in v]
+                                           + [vj[1] / vj[2] for vj in v])]
+        assert [*asm.alpha, *asm.A, *asm.B] == pytest.approx(expected, rel=1e-12), u
+
+
+def test_modal_closed_form_cross_check(ref_params):
+    # Classic orders on the README set, against the oracle's closed-form modes.
+    _assert_modes_match_oracle(ref_params.with_betas(1.0, 1.0, 1.0))
+
+
+def test_modal_closed_form_wide_sweep(ref_params):
+    # The fractional README triples, on the same u sweep.
+    for betas in ((0.9, 0.8, 0.7), (0.77, 0.56, 0.6)):
+        _assert_modes_match_oracle(ref_params.with_betas(*betas))
 
 
 def test_modal_decoupled_medium_reports_degeneracy():
