@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 configuration error, 2 model error, 3 I/O error.
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 import time
@@ -148,20 +149,11 @@ def _build_scheme(cfg, args) -> StehfestScheme:
 
 
 def _out_path(cfg, args, command: str, fmt: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    if cfg.has_option("output", "path"):
-        return Path(cfg.get("output", "path"))
-    return Path(f"{command}.{fmt}")
+    return Path(args.out or cfg.get("output", "path", fallback=f"{command}.{fmt}"))
 
 
 def _out_format(cfg, args) -> str:
-    if args.format:
-        fmt = args.format
-    elif cfg.has_option("output", "format"):
-        fmt = cfg.get("output", "format")
-    else:
-        fmt = "csv"
+    fmt = args.format or cfg.get("output", "format", fallback="csv")
     if fmt not in CURVE_FORMATS:
         raise ConfigError(f"output format must be {' or '.join(CURVE_FORMATS)}, got {fmt!r}")
     return fmt
@@ -285,7 +277,9 @@ def cmd_dimensionless(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built once; main looks cmd_<name> up at call time, so a later rebinding runs."""
     parser = _Parser(
         prog="triporo",
         description="Triple-porosity fractional-diffusion pressure transients")
@@ -302,24 +296,22 @@ def _parser() -> argparse.ArgumentParser:
 
     # Each subcommand takes only the flags it reads; any other is a usage error.
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn, blurb, names in (
-            ("curve", cmd_curve, "compute one pressure/derivative curve", curve_flags),
-            ("sweep", cmd_sweep, "compute curves for a list of beta triples", curve_flags),
-            ("laplace", cmd_laplace, "dump the Laplace-space assembly per u (csv)",
-             ("--out", "--quiet")),
-            ("dimensionless", cmd_dimensionless, "print derived dimensionless groups", ())):
+    for name, blurb, names in (
+            ("curve", "compute one pressure/derivative curve", curve_flags),
+            ("sweep", "compute curves for a list of beta triples", curve_flags),
+            ("laplace", "dump the Laplace-space assembly per u (csv)", ("--out", "--quiet")),
+            ("dimensionless", "print derived dimensionless groups", ())):
         sub = subs.add_parser(name, help=blurb)
         sub.add_argument("--config", required=True, help="path to the run configuration")
         for flag in names:
             sub.add_argument(flag, **flags[flag])
-        sub.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,10 +10,10 @@ with weights
     V_k = (-1)^{n/2 + k} * sum_{j=floor((k+1)/2)}^{min(k, n/2)}
           j^{n/2} (2j)! / [ (n/2 - j)! j! (j-1)! (k-j)! (2j-k)! ].
 
-The weights are integers divided by integers; they are generated here in
-exact rational arithmetic and rounded once to floats, and the exact
-identities sum V_k = 0 and sum V_k / k = 1 are verified symbolically at
-construction.  The weights alternate in sign and grow roughly like 10^(n/2),
+The weights are integers divided by integers; they are derived here once
+per order in exact rational arithmetic, the exact identities sum V_k = 0 and
+sum V_k / k = 1 are verified symbolically, and each is rounded once to a
+float.  The weights alternate in sign and grow roughly like 10^(n/2),
 so double-precision results degrade beyond n ~ 16 and orders above 20 are
 refused outright.  ``invert`` works in doubles; ``invert_mp`` keeps the
 exact weights and sums in mpmath, which removes the cancellation error for
@@ -25,6 +25,7 @@ oscillation, which is the regime of the pressure-transient curves computed
 by this package.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,9 +54,14 @@ def _check_order(n: int) -> int:
     return int(n)
 
 
-def stehfest_weights_exact(n: int) -> list[Fraction]:
+def stehfest_weights_exact(n: int) -> tuple[Fraction, ...]:
     """The n weights as exact rationals."""
-    n = _check_order(n)
+    return _exact_weights(_check_order(n))
+
+
+@functools.cache
+def _exact_weights(n: int) -> tuple[Fraction, ...]:
+    """Derived and checked once per order; a tuple, so the cache is immutable."""
     half = n // 2
     weights = []
     for k in range(1, n + 1):
@@ -72,7 +78,7 @@ def stehfest_weights_exact(n: int) -> list[Fraction]:
         raise AssertionError(f"Stehfest weights for n={n} do not sum to 0")
     if sum(w / k for k, w in enumerate(weights, start=1)) != 1:
         raise AssertionError(f"Stehfest weights for n={n} fail sum V_k/k = 1")
-    return weights
+    return tuple(weights)
 
 
 def stehfest_weights(n: int) -> tuple[float, ...]:

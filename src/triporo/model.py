@@ -192,14 +192,13 @@ def _check_radius(r_d: float) -> float:
 
 def m_terms(p: TriplePorosityParams, u: float) -> MTerms:
     """Auxiliary coefficients at Laplace variable u > 0."""
-    u = _check_u(u)
-    return MTerms(
-        u**p.beta_m * p.omega_m + p.lambda_mf + p.lambda_mv,
-        p.lambda_mf,
-        p.lambda_mv,
-        u**p.beta_f * p.omega_f + p.lambda_mf + p.lambda_fv,
-        p.lambda_fv,
-        u**p.beta_v * p.omega_v + p.lambda_mv + p.lambda_fv)
+    # Inline domain test on the hot path; anything else gets the full check.
+    if type(u) is not float or not 0.0 < u < math.inf:
+        u = _check_u(u)
+    lmf, lmv, lfv = p.lambda_mf, p.lambda_mv, p.lambda_fv
+    return MTerms(u**p.beta_m * (1.0 - p.omega_f - p.omega_v) + lmf + lmv, lmf, lmv,
+                  u**p.beta_f * p.omega_f + lmf + lfv, lfv,
+                  u**p.beta_v * p.omega_v + lmv + lfv)
 
 
 def characteristic_coefficients(m: MTerms, kappa_m: float, kappa_f: float,
@@ -216,23 +215,6 @@ def characteristic_coefficients(m: MTerms, kappa_m: float, kappa_f: float,
          + 2.0 * m2 * m3 * m5 + m3 * m3 * m4))
 
 
-def _adjugate(x: float, m: MTerms, kappa_m: float, kappa_f: float, kappa_v: float):
-    """Diagonal of M(x) and the distinct entries of adj M(x), as flat floats.
-
-    Returns (d0, d1, d2, a00, a11, a22, a01, a02, a12).  M(x) has rows
-    (d0, m2, m3), (m2, d1, m5), (m3, m5, d2); column j of adj M(x) is the
-    cross product of the two rows other than j, so every entry is an explicit
-    2x2 minor.  M is symmetric, so adj M is too: its nine entries are these six.
-    """
-    m1, m2, m3, m4, m5, m6 = m
-    d0 = kappa_m * x - m1
-    d1 = kappa_f * x - m4
-    d2 = kappa_v * x - m6
-    return (d0, d1, d2,
-            d1 * d2 - m5 * m5, d0 * d2 - m3 * m3, d0 * d1 - m2 * m2,
-            m3 * m5 - m2 * d2, m2 * m5 - m3 * d1, m2 * m3 - d0 * m5)
-
-
 def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
                  kappa_v: float) -> float:
     """Newton steps on det(M(x)) directly.
@@ -241,11 +223,13 @@ def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
     roots off the true determinant zero; refining against the assembled
     matrix keeps the null-space extraction residual at machine level.
     """
-    m2, m3 = m.m2, m.m3
+    m1, m2, m3, m4, m5, m6 = m
     for _ in range(3):
-        d0, _, _, a00, a11, a22, a01, a02, _ = _adjugate(x, m, kappa_m, kappa_f, kappa_v)
-        f = d0 * a00 + m2 * a01 + m3 * a02  # det M: row 0 . adjugate column 0
-        fp = kappa_m * a00 + kappa_f * a11 + kappa_v * a22  # d det/dx
+        d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
+        a00 = d1 * d2 - m5 * m5
+        # det M is row 0 times adjugate column 0; d det/dx is kappa . adj M's diagonal.
+        f = d0 * a00 + m2 * (m3 * m5 - m2 * d2) + m3 * (m2 * m5 - m3 * d1)
+        fp = kappa_m * a00 + kappa_f * (d0 * d2 - m3 * m3) + kappa_v * (d0 * d1 - m2 * m2)
         if fp == 0.0:
             break
         xn = x - f / fp
@@ -262,21 +246,35 @@ def _modal_from_x(x: float, m: MTerms, kappa_m: float, kappa_f: float,
                   kappa_v: float) -> tuple[float, float]:
     """(A, B) from the null direction of the (rank-2) modal matrix M(x).
 
-    The adjugate columns of a rank-2 matrix are parallel copies of the null
-    vector scaled by its own components; the largest one is the best
-    conditioned.  Ties go to the column from rows (0, 1), then (0, 2).
+    M(x) has rows (d0, m2, m3), (m2, d1, m5), (m3, m5, d2) with
+    d = kappa x - (m1, m4, m6).  Column j of adj M(x) is the cross product of
+    the two rows other than j, and adj M is symmetric.  The adjugate columns
+    of a rank-2 matrix are parallel copies of the null vector scaled by its
+    own components; the largest one is the best conditioned.  Ties go to the
+    column from rows (0, 1), then (0, 2).
     """
-    _, m2, m3, _, m5, _ = m
-    d0, d1, d2, a00, a11, a22, a01, a02, a12 = _adjugate(x, m, kappa_m, kappa_f, kappa_v)
-    n0 = math.sqrt(d0 * d0 + m2 * m2 + m3 * m3)
-    n1 = math.sqrt(m2 * m2 + d1 * d1 + m5 * m5)
-    n2 = math.sqrt(m3 * m3 + m5 * m5 + d2 * d2)
+    m1, m2, m3, m4, m5, m6 = m
+    m22, m33, m55 = m2 * m2, m3 * m3, m5 * m5
+    d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
+    a00, a11, a22 = d1 * d2 - m55, d0 * d2 - m33, d0 * d1 - m22
+    a01, a02, a12 = m3 * m5 - m2 * d2, m2 * m5 - m3 * d1, m2 * m3 - d0 * m5
+    n0 = math.sqrt(d0 * d0 + m22 + m33)
+    n1 = math.sqrt(m22 + d1 * d1 + m55)
+    n2 = math.sqrt(m33 + m55 + d2 * d2)
     scale = max(n0 * n1, n0 * n2, n1 * n2)
-    n, mag = (a02, a12, a22), max(abs(a02), abs(a12), abs(a22))
-    mag1 = max(abs(a01), abs(a11), abs(a12))
+    b00, b11, b22 = abs(a00), abs(a11), abs(a22)
+    b01, b02, b12 = abs(a01), abs(a02), abs(a12)
+    # Each column's max(|entries|), unrolled in max()'s own order: a later
+    # entry wins only when larger, so ties and NaN resolve as max() does.
+    mag = b12 if b12 > b02 else b02
+    mag = b22 if b22 > mag else mag
+    mag1 = b11 if b11 > b01 else b01
+    mag1 = b12 if b12 > mag1 else mag1
+    mag0 = b01 if b01 > b00 else b00
+    mag0 = b02 if b02 > mag0 else mag0
+    n = (a02, a12, a22)
     if mag1 > mag:
         n, mag = (a01, a11, a12), mag1
-    mag0 = max(abs(a00), abs(a01), abs(a02))
     if mag0 > mag:
         n, mag = (a00, a01, a02), mag0
     if mag <= RANK_TOL * scale:
@@ -409,21 +407,25 @@ class LaplaceAssembly:
 
 def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     """Assemble the full Laplace-space solution state at u > 0."""
-    m = m_terms(p, u)  # checks u
-    u = float(u)
-    km, kf, kv = p.kappa_m, p.kappa_f, p.kappa_v
+    if type(u) is not float or not 0.0 < u < math.inf:
+        u = _check_u(u)
+    m = m_terms(p, u)
+    kf, kv = p.kappa_f, p.kappa_v
+    km = 1.0 - kf - kv
     try:
         a0, a1, a2 = alpha_roots(characteristic_coefficients(m, km, kf, kv))
         x0 = _refine_root(a0 * a0, m, km, kf, kv)
         x1 = _refine_root(a1 * a1, m, km, kf, kv)
         x2 = _refine_root(a2 * a2, m, km, kf, kv)
         alpha = (math.sqrt(x0), math.sqrt(x1), math.sqrt(x2))
-        A, B = zip(_modal_from_x(x0, m, km, kf, kv), _modal_from_x(x1, m, km, kf, kv),
-                   _modal_from_x(x2, m, km, kf, kv))
+        A0, B0 = _modal_from_x(x0, m, km, kf, kv)
+        A1, B1 = _modal_from_x(x1, m, km, kf, kv)
+        A2, B2 = _modal_from_x(x2, m, km, kf, kv)
+        A, B = (A0, A1, A2), (B0, B1, B2)
         D = solve_boundary(*boundary_vectors(alpha, A, B, km, kf, kv), u)
     except (RootClassificationError, NullSpaceError, SingularBoundaryError) as exc:
         raise type(exc)(f"{exc}{_context(u, p)}") from exc
-    return LaplaceAssembly(params=p, u=u, mterms=m, alpha=alpha, A=A, B=B, D_scaled=D)
+    return LaplaceAssembly(p, u, m, alpha, A, B, D)
 
 
 def wellbore_pressure_laplace(p: TriplePorosityParams, u: float) -> float:

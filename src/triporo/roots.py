@@ -43,22 +43,19 @@ class CubicCoefficients(NamedTuple):
                    abs(self.c1 * x), abs(self.c0))
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def _polish(c: CubicCoefficients, x: float) -> float:
     """Safeguarded Newton on the original cubic; never worsens |f|."""
-    c3, c2, c1, _ = c
-    f = c(x)
+    c3, c2, c1, c0 = c
+    d2, d1 = 3.0 * c3, 2.0 * c2  # f'(x) = (d2 x + d1) x + c1
+    f = ((c3 * x + c2) * x + c1) * x + c0
     for _ in range(12):
-        fp = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        fp = (d2 * x + d1) * x + c1
         if fp == 0.0:
             break
         xn = x - f / fp
         if not math.isfinite(xn):
             break
-        fn = c(xn)
+        fn = ((c3 * xn + c2) * xn + c1) * xn + c0
         if abs(fn) < abs(f):
             x, f = xn, fn
         else:
@@ -106,7 +103,8 @@ def solve_cubic_real(c: CubicCoefficients) -> tuple[float, float, float]:
     else:
         w = math.sqrt(disc)
         s = -q / 2.0
-        u = _cbrt(s + w) if s >= 0.0 else _cbrt(s - w)
+        z = s + w if s >= 0.0 else s - w
+        u = math.copysign(abs(z) ** (1.0 / 3.0), z)  # real cube root
         v = -p / (3.0 * u)
         x1 = u + v + shift
     x1 = _polish(c, x1)
@@ -151,11 +149,13 @@ def alpha_roots(c: CubicCoefficients) -> tuple[float, float, float]:
         raise RootClassificationError(
             f"characteristic equation has nearly repeated roots "
             f"{[x0, x1, x2]}")
+    c3, c2, c1, c0 = c
+    # scale_at(x) >= |c0|, so passing against |c0| alone passes the full bound.
+    tol0 = RESIDUAL_TOL * abs(c0)
     for x in (x0, x1, x2):
-        res = c(x)
-        scale = c.scale_at(x)
-        if not abs(res) <= RESIDUAL_TOL * scale:
+        res = ((c3 * x + c2) * x + c1) * x + c0
+        if not (abs(res) <= tol0 or abs(res) <= RESIDUAL_TOL * c.scale_at(x)):
             raise RootClassificationError(
                 f"root x={x!r} fails residual bound: |{res!r}| > "
-                f"{RESIDUAL_TOL} * {scale!r}")
+                f"{RESIDUAL_TOL} * {c.scale_at(x)!r}")
     return math.sqrt(x0), math.sqrt(x1), math.sqrt(x2)

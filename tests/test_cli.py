@@ -512,3 +512,14 @@ def test_module_entry_point(tmp_path):
             capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr
         assert ("omega_f = " in proc.stdout) == (code == 0)
+
+
+def test_commands_are_looked_up_when_main_runs(tmp_path, monkeypatch):
+    # main builds its parser once; a command rebound afterwards (as a tracer
+    # does) must still be the one that runs.
+    cfg = write_cfg(tmp_path, PHYSICAL_BLOCK)
+    assert main(["dimensionless", "--config", cfg]) == 0
+    calls = []
+    monkeypatch.setattr("triporo.cli.cmd_dimensionless", lambda args: calls.append(args) or 7)
+    assert main(["dimensionless", "--config", cfg]) == 7
+    assert [args.config for args in calls] == [cfg]

@@ -415,6 +415,23 @@ def test_wellbore_rejects_bad_u(ref_params):
         wellbore_pressure_laplace(ref_params, 0.0)
 
 
+@pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf])
+def test_bad_u_is_named_in_one_message(ref_params, bad):
+    message = f"Laplace variable u must be a positive finite real, got {float(bad)!r}"
+    for evaluate in (m_terms, laplace_assembly, wellbore_pressure_laplace):
+        with pytest.raises(ValueError) as err:
+            evaluate(ref_params, bad)
+        assert str(err.value) == message
+
+
+def test_int_and_numpy_u_give_the_float_bits(ref_params):
+    for u, as_float in ((2, 2.0), (np.float64(0.37), 0.37), (np.float64(1e6), 1e6)):
+        got = wellbore_pressure_laplace(ref_params, u)
+        assert type(got) is float
+        assert got.hex() == wellbore_pressure_laplace(ref_params, as_float).hex()
+        assert type(laplace_assembly(ref_params, u).u) is float
+
+
 @pytest.mark.parametrize("betas, u, cause", [
     ((1.0, 1.0, 1.0), 1e51, OverflowError),          # (q/2)**2 overflows
     ((0.9, 0.8, 0.7), 1e58, OverflowError),

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from triporo.model import characteristic_coefficients, m_terms
-from triporo.roots import (CubicCoefficients, RootClassificationError,
-                           alpha_roots, solve_cubic_real)
+from triporo.roots import (RESIDUAL_TOL, CubicCoefficients,
+                           RootClassificationError, alpha_roots,
+                           solve_cubic_real)
 
 
 def from_roots(r, c3=1.0):
@@ -127,6 +128,26 @@ def test_alpha_roots_residual_bound():
     c = from_roots((1e-4, 2.5, 9e4))
     for a in alpha_roots(c):
         assert abs(c(a * a)) <= 1e-10 * c.scale_at(a * a)
+
+
+@pytest.mark.parametrize("delta, passes", [(2.69e-9, True), (2.71e-9, False)])
+def test_alpha_roots_residual_bound_either_side(monkeypatch, delta, passes):
+    # x = 3 + delta against the cubic of roots 1, 2, 3: the residual (~2 delta)
+    # is far above RESIDUAL_TOL * |c0| = 6e-10, so the full bound
+    # RESIDUAL_TOL * scale_at(x) (~5.4e-9) decides, within 1 % either side.
+    c = from_roots((1.0, 2.0, 3.0))
+    x = 3.0 + delta
+    res, scale = c(x), c.scale_at(x)
+    assert abs(res) > 8.0 * RESIDUAL_TOL * abs(c.c0)
+    assert abs(abs(res) / (RESIDUAL_TOL * scale) - 1.0) < 0.01
+    monkeypatch.setattr("triporo.roots.solve_cubic_real", lambda _: (1.0, 2.0, x))
+    if passes:
+        assert alpha_roots(c) == (1.0, math.sqrt(2.0), math.sqrt(x))
+    else:
+        with pytest.raises(RootClassificationError, match=re.escape(
+                f"root x={x!r} fails residual bound: |{res!r}| > "
+                f"{RESIDUAL_TOL} * {scale!r}")):
+            alpha_roots(c)
 
 
 def test_alpha_roots_rejects_complex():
