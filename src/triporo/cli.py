@@ -2,14 +2,16 @@
 
 Configuration is an INI-style file with sections [model] or [physical]
 (exactly one), plus optional [grid], [inversion], [output], [sweep] and
-[laplace] sections; keys are named after the dimensionless symbols
-(omega_f, kappa_v, lambda_mf, beta_m, ...).
+[laplace] sections.  The [model] keys are the fields of TriplePorosityParams;
+the [physical] keys are those of PhysicalParams plus the orders beta_m/f/v.
+A field with a default (each beta, 1.0) is optional.
 
 Exit codes: 0 success, 1 configuration error, 2 model error, 3 I/O error.
 """
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import math
 import sys
@@ -31,12 +33,6 @@ MODEL_ERRORS = (RootClassificationError, NullSpaceError, SingularBoundaryError,
 
 LAPLACE_HEADER = ("u,m1,m2,m3,m4,m5,m6,alpha1,alpha2,alpha3,"
                   "A1,A2,A3,B1,B2,B3,D1,D2,D3,pw_bar")
-
-_MODEL_KEYS = ("omega_f", "omega_v", "kappa_f", "kappa_v",
-               "lambda_mf", "lambda_mv", "lambda_fv")
-_PHYSICAL_KEYS = ("phi_m", "phi_f", "phi_v", "c_m", "c_f", "c_v",
-                  "k_m", "k_f", "k_v", "mu", "a_mf", "a_mv", "a_fv",
-                  "r_w", "h", "q0", "b0", "p_i")
 
 
 class ConfigError(Exception):
@@ -81,10 +77,11 @@ def _get_int(cfg, section: str, key: str, default: int) -> int:
     return int(value)
 
 
-def _betas(cfg, section: str) -> tuple[float, float, float]:
-    return (_get_float(cfg, section, "beta_m", 1.0),
-            _get_float(cfg, section, "beta_f", 1.0),
-            _get_float(cfg, section, "beta_v", 1.0))
+def _read_fields(cfg, section: str, fields) -> dict[str, float]:
+    """Each dataclass field from [section], in field order; one without a default is required."""
+    return {f.name: _get_float(cfg, section, f.name,
+                               None if f.default is dataclasses.MISSING else f.default)
+            for f in fields}
 
 
 def _build_params(cfg) -> TriplePorosityParams:
@@ -93,23 +90,23 @@ def _build_params(cfg) -> TriplePorosityParams:
     if has_model and has_phys:
         raise ConfigError("config must contain exactly one of [model] or [physical], not both")
     if has_model:
-        vals = {k: _get_float(cfg, "model", k) for k in _MODEL_KEYS}
-        bm, bf, bv = _betas(cfg, "model")
+        vals = _read_fields(cfg, "model", dataclasses.fields(TriplePorosityParams))
         try:
-            return TriplePorosityParams(**vals, beta_m=bm, beta_f=bf, beta_v=bv)
+            return TriplePorosityParams(**vals)
         except ValueError as exc:
             raise ConfigError(f"invalid [model] parameters: {exc}") from exc
     if has_phys:
         params = _build_transform(cfg).params
+        orders = [f for f in dataclasses.fields(params) if f.default is not dataclasses.MISSING]
         try:
-            return params.with_betas(*_betas(cfg, "physical"))
+            return dataclasses.replace(params, **_read_fields(cfg, "physical", orders))
         except ValueError as exc:
             raise ConfigError(f"invalid [physical] parameters: {exc}") from exc
     raise ConfigError("config must contain a [model] or [physical] section")
 
 
 def _build_transform(cfg) -> DimensionlessTransform:
-    vals = {k: _get_float(cfg, "physical", k) for k in _PHYSICAL_KEYS}
+    vals = _read_fields(cfg, "physical", dataclasses.fields(PhysicalParams))
     try:
         phys = PhysicalParams(**vals)
     except ValueError as exc:

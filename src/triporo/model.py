@@ -354,8 +354,7 @@ def _unscale_weight(d_scaled: float, alpha: float) -> float:
         return math.copysign(math.inf, d_scaled)
 
 
-@dataclass(frozen=True)
-class LaplaceAssembly:
+class LaplaceAssembly(NamedTuple):
     """Per-u solution of the triple-porosity Laplace problem.
 
     It holds the roots alpha, the modal coefficients (A, B, 1) and the

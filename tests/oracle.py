@@ -41,24 +41,29 @@ def modes(p, u):
     return [(mp.sqrt(x[j]), [W[i, j] for i in range(3)]) for j in range(3)]
 
 
+def _wellbore_terms(p, u):
+    """p_w, y, and per mode (alpha_j, w_j, y.w_j, K0(alpha_j)), from one eigsy."""
+    y = _sqrt_kappa(p)
+    total, terms = 0, []
+    for alpha, w in modes(p, u):
+        yw, k0 = mp.fdot(y, w), mp.besselk(0, alpha)
+        total += yw ** 2 * alpha * mp.besselk(1, alpha) / k0
+        terms.append((alpha, w, yw, k0))
+    return 1 / (mp.mpf(u) * total), y, terms
+
+
 def wellbore(p, u):
     """The wellbore pressure p_w(u)."""
-    y = _sqrt_kappa(p)
-    total = 0
-    for alpha, w in modes(p, u):
-        s = mp.fdot(y, w) ** 2
-        total += s * alpha * mp.besselk(1, alpha) / mp.besselk(0, alpha)
-    return 1 / (mp.mpf(u) * total)
+    return _wellbore_terms(p, u)[0]
 
 
 def field(p, u, r):
     """The (matrix, fracture, vug) pressures at radius r."""
-    y = _sqrt_kappa(p)
-    pw = wellbore(p, u)
+    pw, y, terms = _wellbore_terms(p, u)
     r = mp.mpf(r)
     out = [0, 0, 0]
-    for alpha, w in modes(p, u):
-        c = mp.fdot(y, w) * mp.besselk(0, alpha * r) / mp.besselk(0, alpha)
+    for alpha, w, yw, k0 in terms:
+        c = yw * mp.besselk(0, alpha * r) / k0
         for i in range(3):
             out[i] += w[i] / y[i] * c
     return [pw * v for v in out]

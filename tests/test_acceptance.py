@@ -36,7 +36,7 @@ from triporo.model import (TriplePorosityParams, boundary_vectors,
                            wellbore_pressure_laplace)
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
-from conftest import REF_KWARGS
+from conftest import COLLAPSED, PHYSICAL_KWARGS, REF_KWARGS, ini
 from test_specfun import k0_scaled_oracle, k1_scaled_oracle
 
 REF = TriplePorosityParams(**REF_KWARGS)
@@ -199,12 +199,10 @@ def test_criterion_4_classic_radial_flow_plateau():
 
 
 def test_criterion_5_single_medium_collapse():
-    collapsed = TriplePorosityParams(1e-12, 1e-12, 1e-12, 1e-12,
-                                     1e-12, 1e-12, 1e-12)
     scheme = StehfestScheme.of_order(12)
     worst_lap = worst_time = 0.0
     for alpha in (1.0, 0.8, 0.6):
-        p = collapsed.with_betas(alpha, alpha, alpha)
+        p = COLLAPSED.with_betas(alpha, alpha, alpha)
         for u in np.logspace(-6, 1, 25):
             worst_lap = max(worst_lap, abs(
                 wellbore_pressure_laplace(p, float(u))
@@ -222,12 +220,10 @@ def test_criterion_5_single_medium_collapse():
 
 
 def test_criterion_6_classic_line_source_late_time():
-    collapsed = TriplePorosityParams(1e-12, 1e-12, 1e-12, 1e-12,
-                                     1e-12, 1e-12, 1e-12)
     scheme = StehfestScheme.of_order(12)
     worst = 0.0
     for t in np.logspace(2, 8, 25):
-        got = invert(lambda u: wellbore_pressure_laplace(collapsed, u),
+        got = invert(lambda u: wellbore_pressure_laplace(COLLAPSED, u),
                      float(t), scheme)
         expected = 0.5 * (math.log(float(t)) + 0.80907)
         worst = max(worst, abs(got / expected - 1.0))
@@ -238,16 +234,7 @@ def test_criterion_6_classic_line_source_late_time():
 
 def test_criterion_7_qualitative_sweep_reproduction(tmp_path):
     cfg = tmp_path / "sweep.ini"
-    cfg.write_text("""\
-[model]
-omega_f = 0.02
-omega_v = 0.8
-kappa_f = 0.75
-kappa_v = 0.02
-lambda_mf = 1e-3
-lambda_mv = 1e-8
-lambda_fv = 1e-5
-
+    cfg.write_text(ini("model", REF_KWARGS) + """
 [grid]
 t_min = 1e-2
 t_max = 1e8
@@ -296,16 +283,7 @@ triples =
 
 def test_criterion_8_determinism(tmp_path, capsys):
     cfg = tmp_path / "det.ini"
-    cfg.write_text("""\
-[model]
-omega_f = 0.02
-omega_v = 0.8
-kappa_f = 0.75
-kappa_v = 0.02
-lambda_mf = 1e-3
-lambda_mv = 1e-8
-lambda_fv = 1e-5
-
+    cfg.write_text(ini("model", REF_KWARGS) + """
 [grid]
 t_min = 1.0
 t_max = 1e4
@@ -342,27 +320,7 @@ u_values = 0.01 1.0 100.0
     checks.append(sweep_bytes[0] == sweep_bytes[1])
 
     phys = tmp_path / "phys.ini"
-    phys.write_text("""\
-[physical]
-phi_m = 0.1
-phi_f = 0.02
-phi_v = 0.05
-c_m = 1e-9
-c_f = 4e-9
-c_v = 2e-9
-k_m = 1e-15
-k_f = 8e-14
-k_v = 2e-15
-mu = 1e-3
-a_mf = 1e-10
-a_mv = 1e-12
-a_fv = 1e-11
-r_w = 0.1
-h = 10.0
-q0 = 1e-3
-b0 = 1.0
-p_i = 3e7
-""")
+    phys.write_text(ini("physical", PHYSICAL_KWARGS))
     outs = []
     for _ in (1, 2):
         assert main(["dimensionless", "--config", str(phys)]) == 0

@@ -9,16 +9,10 @@ from triporo.cli import LAPLACE_HEADER, main
 from triporo.curves import CSV_HEADER
 from triporo.model import laplace_assembly
 
-MODEL_BLOCK = """\
-[model]
-omega_f = 0.02
-omega_v = 0.8
-kappa_f = 0.75
-kappa_v = 0.02
-lambda_mf = 1e-3
-lambda_mv = 1e-8
-lambda_fv = 1e-5
-"""
+from conftest import PHYSICAL_KWARGS, REF_KWARGS, SYMMETRIC_KWARGS, ini
+
+MODEL_BLOCK = ini("model", REF_KWARGS)
+PHYSICAL_BLOCK = ini("physical", PHYSICAL_KWARGS)
 
 SMALL_RUN = """\
 [grid]
@@ -28,28 +22,6 @@ points_per_decade = 3
 
 [inversion]
 stehfest_n = 8
-"""
-
-PHYSICAL_BLOCK = """\
-[physical]
-phi_m = 0.1
-phi_f = 0.02
-phi_v = 0.05
-c_m = 1e-9
-c_f = 4e-9
-c_v = 2e-9
-k_m = 1e-15
-k_f = 8e-14
-k_v = 2e-15
-mu = 1e-3
-a_mf = 1e-10
-a_mv = 1e-12
-a_fv = 1e-11
-r_w = 0.1
-h = 10.0
-q0 = 1e-3
-b0 = 1.0
-p_i = 3e7
 """
 
 
@@ -87,19 +59,19 @@ def test_curve_json_format(tmp_path):
 
 
 def test_missing_key_names_it(tmp_path, capsys):
-    for old, new, line in (
-            ("omega_v = 0.8\n", "", "error: missing required key 'omega_v' in [model]\n"),
-            ("omega_f = 0.02", "omega_f = abc",
+    missing = {k: v for k, v in REF_KWARGS.items() if k != "omega_v"}
+    for block, line in (
+            (ini("model", missing), "error: missing required key 'omega_v' in [model]\n"),
+            (ini("model", dict(REF_KWARGS, omega_f="abc")),
              "error: key 'omega_f' in [model] is not a number: 'abc'\n"),
-            ("[model]", "[model", "error: malformed config")):
-        cfg = write_cfg(tmp_path, MODEL_BLOCK.replace(old, new) + SMALL_RUN)
+            (MODEL_BLOCK.replace("[model]", "[model"), "error: malformed config")):
+        cfg = write_cfg(tmp_path, block + SMALL_RUN)
         assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
         assert capsys.readouterr().err.startswith(line)
 
 
 def test_invariant_violation_exits_one(tmp_path, capsys):
-    broken = MODEL_BLOCK.replace("kappa_v = 0.02", "kappa_v = 0.30")
-    cfg = write_cfg(tmp_path, broken + SMALL_RUN)
+    cfg = write_cfg(tmp_path, ini("model", dict(REF_KWARGS, kappa_v=0.30)) + SMALL_RUN)
     assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
     assert "kappa" in capsys.readouterr().err
 
@@ -299,7 +271,7 @@ def test_laplace_single_u(tmp_path, ref_params):
     A = row[10:13]
     B = row[13:16]
     D = row[16:19]
-    km, kf, kv = 0.23, 0.75, 0.02
+    km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
     k0 = [float(mp.besselk(0, a)) for a in alpha]
     k1 = [float(mp.besselk(1, a)) for a in alpha]
     pd = sum(alpha[i] * k1[i] * (km * A[i] + kf * B[i] + kv) * D[i] for i in range(3))
@@ -389,28 +361,7 @@ def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, command, fl
 
 
 def test_dimensionless_symmetric(tmp_path, capsys):
-    sym = """\
-[physical]
-phi_m = 0.1
-phi_f = 0.1
-phi_v = 0.1
-c_m = 1e-9
-c_f = 1e-9
-c_v = 1e-9
-k_m = 1e-14
-k_f = 1e-14
-k_v = 1e-14
-mu = 1e-3
-a_mf = 0
-a_mv = 0
-a_fv = 0
-r_w = 0.1
-h = 10.0
-q0 = 1e-3
-b0 = 1.0
-p_i = 3e7
-"""
-    cfg = write_cfg(tmp_path, sym)
+    cfg = write_cfg(tmp_path, ini("physical", SYMMETRIC_KWARGS))
     assert main(["dimensionless", "--config", cfg]) == 0
     out = capsys.readouterr().out
     values = dict(line.split(" = ") for line in out.strip().splitlines())
@@ -421,7 +372,7 @@ p_i = 3e7
 
 
 def test_dimensionless_zero_permeability(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, PHYSICAL_BLOCK.replace("k_m = 1e-15", "k_m = 0"))
+    cfg = write_cfg(tmp_path, ini("physical", dict(PHYSICAL_KWARGS, k_m=0)))
     assert main(["dimensionless", "--config", cfg]) == 1
     assert "k_m" in capsys.readouterr().err
 
@@ -430,24 +381,17 @@ def test_inadmissible_derived_groups_give_one_message(tmp_path, capsys):
     out = tmp_path / "c.csv"
     for edits, message in (
             # k_m is positive, but kappa_f + kappa_v rounds to 1, so kappa_m = 0.
-            ((("k_m = 1e-15", "k_m = 1e-300"), ("k_f = 8e-14", "k_f = 1e-14"),
-              ("k_v = 2e-15", "k_v = 1e-14")),
-             "kappa_f + kappa_v must be < 1, got 1.0"),
+            (dict(k_m=1e-300, k_f=1e-14, k_v=1e-14), "kappa_f + kappa_v must be < 1, got 1.0"),
             # 1 - kappa_f - kappa_v is rounding noise against k_m / sum k.
-            ((("k_m = 1e-15", "k_m = 1e-300"),),
+            (dict(k_m=1e-300),
              "kappa_m = 2.0816681711721685e-17 by subtraction misses its direct "
              "ratio 1.2195121951219512e-287 by more than 1e-08 relative"),
             # mu r_w^2 storage underflows to 0.
-            ((("mu = 1e-3", "mu = 1e-300"), ("r_w = 0.1", "r_w = 1e-10")),
-             "t_scale = 8.3e-14 / 0.0 must be finite and > 0"),
+            (dict(mu=1e-300, r_w=1e-10), "t_scale = 8.3e-14 / 0.0 must be finite and > 0"),
             # q0 b0 mu is subnormal, so p_scale would be inf.
-            ((("q0 = 1e-3", "q0 = 1e-320"),),
-             "p_scale = 5.215043804959057e-12 / 1e-323 must be finite and > 0"),
-            ((("r_w = 0.1", "r_w = 1e200"),), "r_w**2 overflows for r_w = 1e+200")):
-        text = PHYSICAL_BLOCK
-        for old, new in edits:
-            text = text.replace(old, new)
-        cfg = write_cfg(tmp_path, text)
+            (dict(q0=1e-320), "p_scale = 5.215043804959057e-12 / 1e-323 must be finite and > 0"),
+            (dict(r_w=1e200), "r_w**2 overflows for r_w = 1e+200")):
+        cfg = write_cfg(tmp_path, ini("physical", dict(PHYSICAL_KWARGS, **edits)))
         assert main(["curve", "--config", cfg, "--out", str(out)]) == 1
         curve = capsys.readouterr()
         assert main(["dimensionless", "--config", cfg]) == 1
@@ -458,7 +402,7 @@ def test_inadmissible_derived_groups_give_one_message(tmp_path, capsys):
 
 
 def test_physical_betas_are_checked(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, PHYSICAL_BLOCK + "beta_m = 1.5\n" + SMALL_RUN)
+    cfg = write_cfg(tmp_path, ini("physical", dict(PHYSICAL_KWARGS, beta_m=1.5)) + SMALL_RUN)
     assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
     assert "invalid [physical] parameters: beta_m" in capsys.readouterr().err
 
@@ -477,22 +421,12 @@ def test_dimensionless_round_trips_through_curve(tmp_path, capsys):
     assert main(["dimensionless", "--config", phys_cfg]) == 0
     printed = dict(line.split(" = ")
                    for line in capsys.readouterr().out.strip().splitlines())
-    model_cfg = write_cfg(tmp_path, "[model]\n" + "".join(
-        f"{k} = {printed[k]}\n"
-        for k in ("omega_f", "omega_v", "kappa_f", "kappa_v",
-                  "lambda_mf", "lambda_mv", "lambda_fv")) + SMALL_RUN, "model.ini")
+    model_cfg = write_cfg(tmp_path, ini("model", {k: printed[k] for k in REF_KWARGS})
+                          + SMALL_RUN, "model.ini")
     out_model = tmp_path / "model.csv"
     assert main(["curve", "--config", model_cfg, "--out", str(out_model),
                  "--quiet"]) == 0
     assert out_model.read_bytes() == out_phys.read_bytes()
-
-
-def test_curve_determinism(tmp_path):
-    cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["curve", "--config", cfg, "--out", str(a), "--quiet"]) == 0
-    assert main(["curve", "--config", cfg, "--out", str(b), "--quiet"]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_module_entry_point(tmp_path):

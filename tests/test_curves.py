@@ -97,6 +97,40 @@ def test_pressure_curve_monotone_where_storage_rounds_away():
     assert all(b >= a for a, b in zip(pw, pw[1:]))
 
 
+# Late times (ROADMAP finding 5).  Each case that fails there is a strict
+# xfail; accurate modes (ROADMAP items 2 and 3) turn it into an XPASS, and
+# its marker then goes.
+LATE_TIME_DEFECT = pytest.mark.xfail(strict=True, reason=(
+    "known defect: as u falls, the storage term u^beta omega of m1, m4 and m6 "
+    "rounds away against the couplings, so the slowest mode is lost"))
+
+
+@pytest.mark.parametrize("t", [1e8, *(pytest.param(t, marks=LATE_TIME_DEFECT)
+                                      for t in (1e9, 1e10, 1e12, 1e14, 1e16, 1e20))])
+def test_classic_late_time_follows_the_radial_flow_asymptote(ref_params, t):
+    # p_w -> (ln t + ln 4 - gamma) / 2.  The exact order-12 Stehfest sum of
+    # 40-digit oracle F_k is within 1.2e-8 of it at t = 1e14, 8.5e-9 at 1e20.
+    pw = pressure_curve(ref_params, [t], StehfestScheme(12))[0].p_w
+    assert pw == pytest.approx(0.5 * (math.log(t) + math.log(4.0) - np.euler_gamma), rel=1e-7)
+
+
+@LATE_TIME_DEFECT
+def test_fractional_late_time_value(ref_params):
+    # The truth of ROADMAP finding 5; the exact order-12 Stehfest sum of
+    # 40-digit oracle F_k is within 3.4e-9 of it.
+    p = ref_params.with_betas(0.9, 0.8, 0.7)
+    assert pressure_curve(p, [1e20], StehfestScheme(12))[0].p_w == pytest.approx(
+        16.547498, rel=1e-5)
+
+
+@LATE_TIME_DEFECT
+def test_fractional_late_time_curve_is_finite_and_non_decreasing(ref_params):
+    pw = [pt.p_w for pt in pressure_curve(ref_params.with_betas(0.9, 0.8, 0.7),
+                                          log_time_grid(1e8, 1e40, 1), StehfestScheme(12))]
+    assert all(math.isfinite(v) for v in pw)
+    assert all(b >= a for a, b in zip(pw, pw[1:]))
+
+
 def test_pressure_curve_classic_monotone(ref_params):
     scheme = StehfestScheme.of_order(12)
     grid = log_time_grid(1e-2, 1e8, 2)

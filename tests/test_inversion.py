@@ -76,10 +76,11 @@ def test_invert_constant_pair():
     # F = 1/u has original f = 1, exact for the scheme; the achievable
     # accuracy in doubles is set by the weight magnitudes (2.2e-10 at
     # n = 12, 9.7e-8 at n = 16; invert_mp gives 0 at both).
+    ts = (3.7, *map(float, np.logspace(-1, 2, 16)))
     for n, tol in ((4, 1e-13), (8, 1e-11), (12, 5e-10)):
         s = StehfestScheme.of_order(n)
-        for t in (0.1, 1.0, 3.7, 10.0, 100.0):
-            assert invert(lambda u: 1.0 / u, t, s) == pytest.approx(1.0, abs=tol)
+        vals = [invert(lambda u: 1.0 / u, t, s) for t in ts]
+        assert vals == pytest.approx([1.0] * len(ts), abs=tol), n
 
 
 def test_invert_ramp_pair():
@@ -173,21 +174,6 @@ def test_nonfinite_transform_values_are_refused():
     with pytest.raises(TransformEvaluationError, match=r"\(t=1e\+303\)") as err:
         invert(lambda u: 1.0 / u, 1e303, StehfestScheme.of_order(12))
     assert err.value.u == 6 * (math.log(2.0) / 1e303)
-
-
-def test_invert_curve_constant():
-    s = StehfestScheme.of_order(12)
-    grid = list(np.logspace(-1, 2, 16))
-    vals = [invert(lambda u: 1.0 / u, t, s) for t in grid]
-    assert vals == pytest.approx([1.0] * len(grid), abs=5e-10)
-
-
-def test_invert_curve_fractional_pair():
-    s = StehfestScheme.of_order(14)
-    grid = [float(t) for t in np.logspace(-1, 1, 20)]
-    vals = [invert(lambda u: u**-1.5, t, s) for t in grid]
-    for t, v in zip(grid, vals):
-        assert v == pytest.approx(math.sqrt(t) / math.gamma(1.5), rel=1e-3)
 
 
 def test_invert_mp_agrees_with_invert_at_low_order():

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +21,10 @@ from triporo.model import (ConsistencyError, MTerms, NullSpaceError,
 from triporo.roots import RootClassificationError, solve_cubic_real
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
-COLLAPSED = TriplePorosityParams(1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
+from conftest import COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS
+
+# The README set with every coupling exactly zero.
+UNCOUPLED = TriplePorosityParams(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0))
 
 # Parameter sets whose characteristic cubic has, at the paired u (a Stehfest
 # node of a 1e-1..1e5 curve), a close pair of roots far below the dominant
@@ -82,22 +85,17 @@ DOMAIN_PROBE = [
 
 # ---------------------------------------------------------------- params
 
-def test_params_invariants():
-    with pytest.raises(ValueError, match="omega_f"):
-        TriplePorosityParams(-0.1, 0.8, 0.75, 0.02, 0, 0, 0)
-    with pytest.raises(ValueError, match="omega_f \\+ omega_v"):
-        TriplePorosityParams(0.5, 0.6, 0.75, 0.02, 0, 0, 0)
-    with pytest.raises(ValueError, match="kappa_f \\+ kappa_v"):
-        TriplePorosityParams(0.02, 0.8, 0.75, 0.30, 0, 0, 0)
-    with pytest.raises(ValueError, match="kappa_v"):
-        TriplePorosityParams(0.02, 0.8, 0.75, 0.0, 0, 0, 0)
-    with pytest.raises(ValueError, match="lambda_mf"):
-        TriplePorosityParams(0.02, 0.8, 0.75, 0.02, -1e-3, 0, 0)
-    with pytest.raises(ValueError, match="beta_m"):
-        TriplePorosityParams(0.02, 0.8, 0.75, 0.02, 0, 0, 0, beta_m=1.2)
-    p = TriplePorosityParams(0.02, 0.8, 0.75, 0.02, 1e-3, 1e-8, 1e-5)
-    assert p.omega_m == pytest.approx(0.18)
-    assert p.kappa_m == pytest.approx(0.23)
+def test_params_invariants(ref_params):
+    for edit, match in ((dict(omega_f=-0.1), "omega_f"),
+                        (dict(omega_f=0.5, omega_v=0.6), r"omega_f \+ omega_v"),
+                        (dict(kappa_v=0.30), r"kappa_f \+ kappa_v"),
+                        (dict(kappa_v=0.0), "kappa_v"),
+                        (dict(lambda_mf=-1e-3), "lambda_mf"),
+                        (dict(beta_m=1.2), "beta_m")):
+        with pytest.raises(ValueError, match=match):
+            TriplePorosityParams(**dict(REF_KWARGS, **edit))
+    assert ref_params.omega_m == pytest.approx(0.18)
+    assert ref_params.kappa_m == pytest.approx(0.23)
 
 
 # ---------------------------------------------------------------- m-terms
@@ -113,10 +111,8 @@ def test_m_terms_reference_values(ref_params):
 
 
 def test_m_terms_zero_coupling_collapse():
-    p = TriplePorosityParams(0.02, 0.8, 0.75, 0.02, 0.0, 0.0, 0.0)
-    m = m_terms(p, 1.0)
-    assert (m.m1, m.m2, m.m3, m.m4, m.m5, m.m6) == (p.omega_m, 0.0, 0.0,
-                                                    p.omega_f, 0.0, p.omega_v)
+    p = UNCOUPLED
+    assert m_terms(p, 1.0) == (p.omega_m, 0.0, 0.0, p.omega_f, 0.0, p.omega_v)
 
 
 def test_m_terms_u_scaling(ref_params):
@@ -140,7 +136,7 @@ def test_characteristic_leading_coefficient(ref_params):
 
 
 def test_characteristic_zero_coupling_factors():
-    p = TriplePorosityParams(0.02, 0.8, 0.75, 0.02, 0.0, 0.0, 0.0)
+    p = UNCOUPLED
     m = m_terms(p, 1.0)
     c = characteristic_coefficients(m, p.kappa_m, p.kappa_f, p.kappa_v)
     expected = sorted((m.m1 / p.kappa_m, m.m4 / p.kappa_f, m.m6 / p.kappa_v))
@@ -209,9 +205,8 @@ def test_modal_closed_form_wide_sweep(ref_params):
 def test_modal_decoupled_medium_reports_degeneracy():
     # With all couplings exactly zero each null vector is axis-directed and
     # C-normalization must fail loudly.
-    p = TriplePorosityParams(0.02, 0.8, 0.75, 0.02, 0.0, 0.0, 0.0)
     with pytest.raises(NullSpaceError, match=r"decoupled medium.*\(u=1\.0, params="):
-        laplace_assembly(p, 1.0)
+        laplace_assembly(UNCOUPLED, 1.0)
 
 
 def test_modal_rank_deficient_matrix_raises():
@@ -328,21 +323,13 @@ def test_boundary_condition_number_reasonable(ref_params):
 
 # ------------------------------------------------------ wellbore pressure
 
-def test_triple_equality_across_u(ref_params):
-    for u in np.logspace(-6, 6, 25):
-        asm = laplace_assembly(ref_params, float(u))
-        pm, pf, pv = asm.wellbore_pressures()
-        assert pm == pytest.approx(pv, rel=1e-9)
-        assert pf == pytest.approx(pv, rel=1e-9)
-
-
 def test_wellbore_pressures_check_triple_equality(ref_params):
     # The one check site: a finite disagreement and a NaN both raise, and
     # the message ends by naming the evaluation, as the other model errors do.
     asm = laplace_assembly(ref_params, 1.0)
     A = (asm.A[0] * (1.0 + 1e-6), *asm.A[1:])
     D = (asm.D_scaled[0], math.nan, asm.D_scaled[2])
-    for bad in (replace(asm, A=A), replace(asm, D_scaled=D)):
+    for bad in (asm._replace(A=A), asm._replace(D_scaled=D)):
         with pytest.raises(ConsistencyError) as info:
             bad.wellbore_pressures()
         assert str(info.value).endswith(f" (u=1.0, params={ref_params!r})")
@@ -571,12 +558,7 @@ def test_single_medium_domain_errors():
 # ------------------------------------------------------ dimensionless map
 
 def _symmetric_physical(**overrides):
-    base = dict(phi_m=0.1, phi_f=0.1, phi_v=0.1, c_m=1e-9, c_f=1e-9, c_v=1e-9,
-                k_m=1e-14, k_f=1e-14, k_v=1e-14, mu=1e-3,
-                a_mf=0.0, a_mv=0.0, a_fv=0.0,
-                r_w=0.1, h=10.0, q0=1e-3, b0=1.0, p_i=3e7)
-    base.update(overrides)
-    return PhysicalParams(**base)
+    return PhysicalParams(**dict(SYMMETRIC_KWARGS, **overrides))
 
 
 def test_symmetric_media_map():

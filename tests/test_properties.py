@@ -15,6 +15,8 @@ from triporo import (ConsistencyError, NullSpaceError, RootClassificationError,
                      SingularBoundaryError, TriplePorosityParams,
                      laplace_assembly)
 
+from conftest import REF_KWARGS
+
 MODEL_ERRORS = (RootClassificationError, NullSpaceError, SingularBoundaryError,
                 ConsistencyError)
 
@@ -32,8 +34,8 @@ log_u = st.floats(-12.0, 300.0).map(lambda e: 10.0 ** e)
        beta_m=beta, beta_f=beta, beta_v=beta, u=log_u)
 # All couplings zero: the null direction of a decoupled medium cannot be
 # normalized, and the NullSpaceError used to name neither u nor the params.
-@example(omega_f=0.02, omega_v=0.8, kappa_f=0.75, kappa_v=0.02, lambda_mf=0.0,
-         lambda_mv=0.0, lambda_fv=0.0, beta_m=1.0, beta_f=1.0, beta_v=1.0, u=1.0)
+@example(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0),
+         beta_m=1.0, beta_f=1.0, beta_v=1.0, u=1.0)
 def test_wellbore_pressure_is_finite_or_a_named_error_with_u(u, **kwargs):
     assume(kwargs["omega_f"] + kwargs["omega_v"] <= 1.0)
     assume(kwargs["kappa_f"] + kwargs["kappa_v"] < 1.0)
