@@ -9,8 +9,7 @@ it with the Gaver-Stehfest algorithm.
 
 from .curves import (CurvePoint, bourdet_derivative, log_time_grid,
                      pressure_curve, read_curve, write_curve)
-from .inversion import (StehfestScheme, TransformEvaluationError, invert,
-                        invert_mp)
+from .inversion import StehfestScheme, TransformEvaluationError, invert
 from .model import (ConsistencyError, DimensionlessTransform, LaplaceAssembly,
                     NullSpaceError, PhysicalParams, SingularBoundaryError,
                     TriplePorosityParams, field_pressure_laplace,
@@ -29,7 +28,7 @@ __all__ = [
     "wellbore_pressure_laplace", "laplace_assembly", "LaplaceAssembly",
     "field_pressure_laplace", "single_medium_pressure_laplace",
     # inversion
-    "StehfestScheme", "invert", "invert_mp",
+    "StehfestScheme", "invert",
     # curves
     "log_time_grid", "pressure_curve", "bourdet_derivative", "CurvePoint",
     "write_curve", "read_curve",

@@ -84,37 +84,46 @@ def _read_fields(cfg, section: str, fields) -> dict[str, float]:
             for f in fields}
 
 
-def _build_params(cfg) -> TriplePorosityParams:
+def _parameter_block(cfg) -> str | None:
+    """The parameter section of the config, "model" or "physical"; None if neither."""
     has_model = cfg.has_section("model")
     has_phys = cfg.has_section("physical")
     if has_model and has_phys:
         raise ConfigError("config must contain exactly one of [model] or [physical], not both")
-    if has_model:
-        vals = _read_fields(cfg, "model", dataclasses.fields(TriplePorosityParams))
-        try:
-            return TriplePorosityParams(**vals)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [model] parameters: {exc}") from exc
-    if has_phys:
-        params = _build_transform(cfg).params
-        orders = [f for f in dataclasses.fields(params) if f.default is not dataclasses.MISSING]
-        try:
-            return dataclasses.replace(params, **_read_fields(cfg, "physical", orders))
-        except ValueError as exc:
-            raise ConfigError(f"invalid [physical] parameters: {exc}") from exc
-    raise ConfigError("config must contain a [model] or [physical] section")
+    return "model" if has_model else "physical" if has_phys else None
+
+
+def _build_params(cfg) -> TriplePorosityParams:
+    block = _parameter_block(cfg)
+    if block is None:
+        raise ConfigError("config must contain a [model] or [physical] section")
+    if block == "physical":
+        return _build_transform(cfg).params
+    vals = _read_fields(cfg, "model", dataclasses.fields(TriplePorosityParams))
+    try:
+        return TriplePorosityParams(**vals)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [model] parameters: {exc}") from exc
 
 
 def _build_transform(cfg) -> DimensionlessTransform:
+    """The [physical] transform; its params carry the orders of the block."""
     vals = _read_fields(cfg, "physical", dataclasses.fields(PhysicalParams))
     try:
         phys = PhysicalParams(**vals)
     except ValueError as exc:
         raise ConfigError(f"invalid [physical] parameters: {exc}") from exc
     try:
-        return to_dimensionless(phys)
+        scales = to_dimensionless(phys)
     except ValueError as exc:
         raise ConfigError(f"invalid derived dimensionless parameters: {exc}") from exc
+    orders = [f for f in dataclasses.fields(scales.params)
+              if f.default is not dataclasses.MISSING]
+    try:
+        params = dataclasses.replace(scales.params, **_read_fields(cfg, "physical", orders))
+    except ValueError as exc:
+        raise ConfigError(f"invalid [physical] parameters: {exc}") from exc
+    return dataclasses.replace(scales, params=params)
 
 
 def _log_grid(cfg, section: str, where: str, lo_key: str, hi_key: str,
@@ -262,7 +271,7 @@ def cmd_laplace(args) -> int:
 
 def cmd_dimensionless(args) -> int:
     cfg = _load(args.config)
-    if not cfg.has_section("physical"):
+    if _parameter_block(cfg) != "physical":
         raise ConfigError("dimensionless command requires a [physical] section")
     scales = _build_transform(cfg)
     pairs = [(key, getattr(scales.params, key)) for key in (

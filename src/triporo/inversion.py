@@ -15,10 +15,9 @@ per order in exact rational arithmetic, the exact identities sum V_k = 0 and
 sum V_k / k = 1 are verified symbolically, and each is rounded once to a
 float.  The weights alternate in sign and grow roughly like 10^(n/2),
 so double-precision results degrade beyond n ~ 16 and orders above 20 are
-refused outright.  ``invert`` works in doubles; ``invert_mp`` keeps the
-exact weights and sums in mpmath, which removes the cancellation error for
-transforms that compute in the argument's own arithmetic but not the
-method error of the order.
+refused outright.  ``invert`` sums the rounded terms with ``math.fsum``;
+what it cannot remove is the rounding of each F(u_k), amplified by the
+weights, and the method error of the order.
 
 The method suits smooth originals that decay (or grow slowly) without
 oscillation, which is the regime of the pressure-transient curves computed
@@ -110,19 +109,6 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _samples(transform, t: float, ratio, n: int):
-    """Yield F(k * ratio), k = 1..n; a raising or non-finite F carries its u."""
-    for k in range(1, n + 1):
-        u = k * ratio
-        try:
-            f = transform(u)
-            if not math.isfinite(f):
-                raise ValueError(f"transform value {f!r} is not finite")
-        except Exception as exc:
-            raise TransformEvaluationError(float(u), t, exc) from exc
-        yield f
-
-
 def invert(transform, t: float, scheme: StehfestScheme) -> float:
     """Invert ``transform`` (a callable u -> F(u)) at time t > 0.
 
@@ -133,7 +119,16 @@ def invert(transform, t: float, scheme: StehfestScheme) -> float:
     """
     t = _check_time(t)
     ratio = _LN2 / t
-    terms = [w * f for w, f in zip(scheme.weights, _samples(transform, t, ratio, scheme.n))]
+    terms = []
+    for k, w in enumerate(scheme.weights, start=1):
+        u = k * ratio
+        try:
+            f = transform(u)
+            if not math.isfinite(f):
+                raise ValueError(f"transform value {f!r} is not finite")
+        except Exception as exc:
+            raise TransformEvaluationError(u, t, exc) from exc
+        terms.append(w * f)
     # fsum: the weights alternate in sign with large magnitude; the exact
     # summation preserves what accuracy the rounded terms still carry.
     try:
@@ -145,34 +140,3 @@ def invert(transform, t: float, scheme: StehfestScheme) -> float:
         k = next((k for k, x in enumerate(terms) if not math.isfinite(x)),
                  max(range(len(terms)), key=lambda k: abs(terms[k])))
         raise TransformEvaluationError((k + 1) * ratio, t, exc) from exc
-
-
-def invert_mp(transform, t: float, scheme: StehfestScheme) -> float:
-    """Invert ``transform`` at time t > 0 with exact weights in mpmath.
-
-    The exact rational weights of order ``scheme.n`` and the nodes
-    u_k = k ln 2 / t are evaluated in mpmath, u is passed to ``transform``
-    as an ``mpf``, and the weighted sum is carried at
-    17 + ceil(log10 sum |V_k|) significant digits (19 at n = 4, 30 at
-    n = 20), so the cancellation among the large alternating weights costs
-    none of double's digits.  The result is rounded once to a float.
-
-    The extra digits reach only transforms that compute in the argument's
-    own arithmetic (``1 / u``, ``1 / (u + 1)``, ...).  A transform that
-    converts u to a float returns double-rounded values, and the result
-    then carries the same cancellation error as ``invert``.  What remains
-    is the method error of the order, which no precision removes.
-
-    The order, time and evaluator checks are those of ``invert``; the u
-    that a TransformEvaluationError carries is a float.
-    """
-    weights = stehfest_weights_exact(scheme.n)
-    t = _check_time(t)
-    import mpmath  # deferred: keeps mpmath out of ``import triporo``
-    dps = 17 + math.ceil(math.log10(sum(abs(w) for w in weights)))
-    with mpmath.workdps(dps):
-        ratio = mpmath.log(2) / t
-        acc = mpmath.mpf(0)
-        for w, f in zip(weights, _samples(transform, t, ratio, scheme.n)):
-            acc += mpmath.mpf(w.numerator) / w.denominator * f
-        return float(ratio * acc)

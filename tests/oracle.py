@@ -14,7 +14,14 @@ pressures and the unit-rate flux condition give
 
 The float parameters and u are taken as exact; everything runs at the
 caller's ``mp.workdps``.
+
+It also holds the tests' one exact Gaver-Stehfest sum: the textbook
+weights at 50 digits, and the order-n sum (ln 2 / t) sum V_k F(u_k) at
+50 digits over those or any other weights, the package's exact rationals
+included.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -67,3 +74,29 @@ def field(p, u, r):
         for i in range(3):
             out[i] += w[i] / y[i] * c
     return [pw * v for v in out]
+
+
+def stehfest_weights_50(n):
+    """Order-n Stehfest weights from the textbook formula, at 50 digits."""
+    half = n // 2
+    fac = mp.factorial
+    with mp.workdps(50):
+        return [(-1) ** (half + k) * mp.fsum(
+                    mp.mpf(j) ** half * fac(2 * j)
+                    / (fac(half - j) * fac(j) * fac(j - 1) * fac(k - j) * fac(2 * j - k))
+                    for j in range((k + 1) // 2, min(k, half) + 1))
+                for k in range(1, n + 1)]
+
+
+def stehfest_exact(transform, t, weights):
+    """The Stehfest sum at t and (ln 2 / t) sum |V_k F(u_k)|, both at 50 digits.
+
+    ``weights`` are mpf or exact ``Fraction`` values; u_k = k ln 2 / t is
+    passed to ``transform`` as an mpf.  Both results are rounded to floats.
+    """
+    with mp.workdps(50):
+        ratio = mp.log(2) / t
+        terms = [(mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v)
+                 * transform(k * ratio) for k, v in enumerate(weights, start=1)]
+        return (float(ratio * mp.fsum(terms)),
+                float(ratio * mp.fsum(abs(x) for x in terms)))

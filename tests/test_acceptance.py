@@ -5,18 +5,21 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 Criterion 1 checks the Gaver-Stehfest layer on two paths, at tolerances
 that are never relaxed:
 
-- ``invert_mp`` (exact weights, mpmath sum) carries the legs that test what
-  the method promises.  ``1/u`` is inverted exactly by every order, but in
-  doubles the weights (up to 8.0e6 at n = 12, 3.6e9 at n = 16) turn the
-  rounding of F(u_k) into 2.2e-10 and 9.7e-8; on ``invert_mp`` all four
-  orders give 0.  ``1/u^2`` and ``1/(u+1)`` run at n = 20, where the
-  method error of the scheme itself is 6.9e-10 and 7.1e-5; at n = 12 it is
-  9.6e-7 and 2.2e-2, which no arithmetic can bring under 1e-8 and 5e-4.
+- The exact sum (``oracle.stehfest_exact``: the package's exact rational
+  weights ``stehfest_weights_exact(n)``, nodes and sum at 50 digits)
+  carries the legs that test what the method promises.  ``1/u`` is
+  inverted exactly by every order, but in doubles the weights (up to
+  8.0e6 at n = 12, 3.6e9 at n = 16) turn the rounding of F(u_k) into
+  2.2e-10 and 9.7e-8; summed exactly, all four orders give 0.  ``1/u^2``
+  and ``1/(u+1)`` run at n = 20, where the method error of the scheme
+  itself is 6.9e-10 and 7.1e-5; at n = 12 it is 9.6e-7 and 2.2e-2, which
+  no arithmetic can bring under 1e-8 and 5e-4.
 - ``invert`` (double weights, double sum) is pinned at n = 12, the order
   the curves use, on those two pairs: it must agree with the exact
-  arithmetic order-12 value, computed here from the weight formula at 50
-  digits, within its own cancellation bound 4 eps (ln 2 / t) sum |V_k F(u_k)|.
-  The ``1/u^1.5`` leg runs on ``invert`` at n = 14.
+  arithmetic order-12 value, summed over the textbook weights at 50
+  digits (``oracle.stehfest_weights_50``), within its own cancellation
+  bound 4 eps (ln 2 / t) sum |V_k F(u_k)|.  The ``1/u^1.5`` leg runs on
+  ``invert`` at n = 14.
 
 The README's numerical notes give the same figures.
 """
@@ -24,19 +27,19 @@ The README's numerical notes give the same figures.
 import math
 import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
 
 from triporo.cli import main
 from triporo.curves import log_time_grid, pressure_curve, read_curve
-from triporo.inversion import StehfestScheme, invert, invert_mp
+from triporo.inversion import StehfestScheme, invert, stehfest_weights_exact
 from triporo.model import (TriplePorosityParams, boundary_vectors,
                            laplace_assembly, single_medium_pressure_laplace,
                            wellbore_pressure_laplace)
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
 from conftest import COLLAPSED, PHYSICAL_KWARGS, REF_KWARGS, ini
+from oracle import stehfest_exact, stehfest_weights_50
 from test_specfun import k0_scaled_oracle, k1_scaled_oracle
 
 REF = TriplePorosityParams(**REF_KWARGS)
@@ -52,59 +55,38 @@ def _report(num: int, title: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _stehfest_weights_50(n: int) -> list:
-    """Order-n Stehfest weights from the textbook formula, at 50 digits."""
-    half = n // 2
-    fac = mp.factorial
-    with mp.workdps(50):
-        return [(-1) ** (half + k) * mp.fsum(
-                    mp.mpf(j) ** half * fac(2 * j)
-                    / (fac(half - j) * fac(j) * fac(j - 1) * fac(k - j) * fac(2 * j - k))
-                    for j in range((k + 1) // 2, min(k, half) + 1))
-                for k in range(1, n + 1)]
-
-
-def _stehfest_exact(transform, t: float, weights: list) -> tuple[float, float]:
-    """Exact-arithmetic Stehfest value at t and (ln 2 / t) sum |V_k F(u_k)|."""
-    with mp.workdps(50):
-        ratio = mp.log(2) / t
-        terms = [v * transform(k * ratio) for k, v in enumerate(weights, start=1)]
-        return (float(ratio * mp.fsum(terms)),
-                float(ratio * mp.fsum(abs(x) for x in terms)))
-
-
 def test_criterion_1_stehfest_exactness_and_analytic_pairs():
     legs = []
 
-    # invert(1/u) = 1 to 1e-10 abs for n in {4, 8, 12, 16}; exact for the
-    # scheme, so run in extended precision where the weights cost nothing.
+    # The order-n sum of 1/u is 1 to 1e-10 abs for n in {4, 8, 12, 16};
+    # exact for the scheme, so summed exactly where the weights cost nothing.
     for n in (4, 8, 12, 16):
-        scheme = StehfestScheme.of_order(n)
-        worst = max(abs(invert_mp(lambda u: 1.0 / u, t, scheme) - 1.0)
+        weights = stehfest_weights_exact(n)
+        worst = max(abs(stehfest_exact(lambda u: 1.0 / u, t, weights)[0] - 1.0)
                     for t in (0.1, 1.0, 3.7, 10.0, 100.0))
-        legs.append((f"1/u invert_mp n={n} (tol 1e-10 abs)", worst <= 1e-10, worst))
+        legs.append((f"1/u exact n={n} (tol 1e-10 abs)", worst <= 1e-10, worst))
 
     ramp = (lambda u: 1.0 / u**2, lambda t: t,
             [float(t) for t in np.logspace(-1, 2, 31)])
     decay = (lambda u: 1.0 / (u + 1.0), lambda t: math.exp(-t),
              [float(t) for t in np.linspace(0.1, 5.0, 50)])
 
-    # invert(1/u^2)(t) = t to 1e-8 rel on t in [0.1, 100], and
-    # invert(1/(u+1))(t) = e^-t to 5e-4 rel on t in [0.1, 5], at n = 20.
-    s20 = StehfestScheme.of_order(20)
+    # The order-20 sum of 1/u^2 is t to 1e-8 rel on t in [0.1, 100], and
+    # that of 1/(u+1) is e^-t to 5e-4 rel on t in [0.1, 5].
+    w20 = stehfest_weights_exact(20)
     for name, (F, f, ts), tol, label in (("1/u^2", ramp, 1e-8, "1e-8"),
                                          ("1/(u+1)", decay, 5e-4, "5e-4")):
-        worst = max(abs(invert_mp(F, t, s20) / f(t) - 1.0) for t in ts)
-        legs.append((f"{name} invert_mp n=20 (tol {label} rel)", worst <= tol, worst))
+        worst = max(abs(stehfest_exact(F, t, w20)[0] / f(t) - 1.0) for t in ts)
+        legs.append((f"{name} exact n=20 (tol {label} rel)", worst <= tol, worst))
 
     # The double path at n = 12 against the exact order-12 value on the
     # same t-sets, within its cancellation bound 4 eps (ln 2 / t) sum |V_k F_k|.
     s12 = StehfestScheme.of_order(12)
-    w12 = _stehfest_weights_50(12)
+    w12 = stehfest_weights_50(12)
     for name, (F, f, ts) in (("1/u^2", ramp), ("1/(u+1)", decay)):
         within, worst = True, 0.0
         for t in ts:
-            exact, spread = _stehfest_exact(F, t, w12)
+            exact, spread = stehfest_exact(F, t, w12)
             dev = abs(invert(F, t, s12) - exact)
             within = within and dev <= 4.0 * sys.float_info.epsilon * spread
             worst = max(worst, dev / abs(f(t)))
@@ -122,7 +104,7 @@ def test_criterion_1_stehfest_exactness_and_analytic_pairs():
                        for name, ok, worst in legs)
     ok = _report(1, "Stehfest exactness and analytic pairs", all(l[1] for l in legs), detail)
     assert ok, ("criterion 1: a leg missed its tolerance (1/u and the n = 20 "
-                "pairs on invert_mp; the n = 12 pairs on invert against the "
+                "pairs summed exactly; the n = 12 pairs on invert against the "
                 f"exact order-12 value; 1/u^1.5 on invert): {detail}")
 
 

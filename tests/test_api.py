@@ -31,13 +31,15 @@ def test_public_api_matches_readme():
 
 
 def test_import_does_not_load_mpmath():
-    # mpmath is imported by invert_mp only; a fresh interpreter shows it.
+    # mpmath is a test-only dependency (the "test" extra of pyproject.toml),
+    # so no module of the package may import it; a fresh interpreter that
+    # imports the package and its command line shows it.
     src = str(Path(triporo.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, triporo; print('mpmath' in sys.modules)"],
+         "import sys, triporo, triporo.cli; print('mpmath' in sys.modules)"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -78,8 +78,10 @@ def test_invariant_violation_exits_one(tmp_path, capsys):
 
 def test_both_parameter_blocks_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MODEL_BLOCK + PHYSICAL_BLOCK + SMALL_RUN)
-    assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
-    assert "exactly one" in capsys.readouterr().err
+    for command in (["curve", "--out", str(tmp_path / "c.csv")], ["dimensionless"]):
+        assert main([*command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: config must contain exactly one of [model] or [physical], not both\n")
 
 
 def test_no_parameter_block_rejected(tmp_path):
@@ -402,9 +404,18 @@ def test_inadmissible_derived_groups_give_one_message(tmp_path, capsys):
 
 
 def test_physical_betas_are_checked(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, ini("physical", dict(PHYSICAL_KWARGS, beta_m=1.5)) + SMALL_RUN)
-    assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
-    assert "invalid [physical] parameters: beta_m" in capsys.readouterr().err
+    # dimensionless prints no order, but reads and checks them as curve does.
+    for orders, start in (
+            (dict(beta_m=1.5), "error: invalid [physical] parameters: beta_m"),
+            (dict(beta_m=0), "error: invalid [physical] parameters: beta_m"),
+            (dict(beta_v="x"), "error: key 'beta_v' in [physical] is not a number: 'x'\n")):
+        cfg = write_cfg(tmp_path, ini("physical", dict(PHYSICAL_KWARGS, **orders)) + SMALL_RUN)
+        assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+        curve = capsys.readouterr()
+        assert main(["dimensionless", "--config", cfg]) == 1
+        dimensionless = capsys.readouterr()
+        assert curve.err == dimensionless.err and curve.err.startswith(start)
+        assert curve.out == dimensionless.out == ""
 
 
 def test_dimensionless_requires_physical(tmp_path):

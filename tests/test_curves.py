@@ -124,8 +124,11 @@ def test_fractional_late_time_value(ref_params):
 
 
 @LATE_TIME_DEFECT
-def test_fractional_late_time_curve_is_finite_and_non_decreasing(ref_params):
-    pw = [pt.p_w for pt in pressure_curve(ref_params.with_betas(0.9, 0.8, 0.7),
+@pytest.mark.parametrize("betas", [(0.9, 0.8, 0.7), (0.77, 0.56, 0.6)])
+def test_fractional_late_time_curve_is_finite_and_non_decreasing(ref_params, betas):
+    # At 0.77/0.56/0.6, p_w is -32.8 at t = 1e25, swings to +-1e5 by 1e33
+    # and the evaluation at t = 1e34 raises TransformEvaluationError.
+    pw = [pt.p_w for pt in pressure_curve(ref_params.with_betas(*betas),
                                           log_time_grid(1e8, 1e40, 1), StehfestScheme(12))]
     assert all(math.isfinite(v) for v in pw)
     assert all(b >= a for a, b in zip(pw, pw[1:]))

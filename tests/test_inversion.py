@@ -1,17 +1,16 @@
 import math
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from triporo.inversion import (StehfestScheme, TransformEvaluationError,
-                               invert, invert_mp,
-                               stehfest_weights, stehfest_weights_exact)
+                               invert, stehfest_weights, stehfest_weights_exact)
 from triporo.model import TriplePorosityParams, wellbore_pressure_laplace
 
 from conftest import REF_KWARGS
+from oracle import stehfest_exact
 
 
 def test_weights_low_orders():
@@ -48,23 +47,19 @@ def test_weight_growth_documents_double_precision_limit():
 def test_order_domain_errors(bad):
     with pytest.raises(ValueError):
         stehfest_weights(bad)
-    # A duck-typed scheme gets past StehfestScheme's own check, so this
-    # reaches the order validation of invert_mp itself.
-    with pytest.raises(ValueError, match="Stehfest order"):
-        invert_mp(lambda u: 1.0 / u, 1.0, SimpleNamespace(n=bad))
 
 
 def test_scheme_construction():
     s = StehfestScheme.of_order(12)
     assert s.n == 12 and s.weights == stehfest_weights(12)
     # The weights follow from n alone, and an integral float order is the
-    # int order: both inversions run over it.
+    # int order: invert and the exact weights of that order run over it.
     with pytest.raises(TypeError):
         StehfestScheme(n=4, weights=(0.0,) * 4)
     s = StehfestScheme.of_order(12.0)
     assert type(s.n) is int and s == StehfestScheme(12)
     assert invert(lambda u: 1.0 / u, 1.0, s) == pytest.approx(1.0, abs=1e-9)
-    assert invert_mp(lambda u: 1.0 / u, 1.0, s) == 1.0
+    assert stehfest_exact(lambda u: 1.0 / u, 1.0, stehfest_weights_exact(s.n))[0] == 1.0
     with pytest.raises(ValueError):
         StehfestScheme.of_order(13)
     for bad in (math.inf, math.nan):
@@ -75,7 +70,7 @@ def test_scheme_construction():
 def test_invert_constant_pair():
     # F = 1/u has original f = 1, exact for the scheme; the achievable
     # accuracy in doubles is set by the weight magnitudes (2.2e-10 at
-    # n = 12, 9.7e-8 at n = 16; invert_mp gives 0 at both).
+    # n = 12, 9.7e-8 at n = 16; the exact sum gives 0 at both).
     ts = (3.7, *map(float, np.logspace(-1, 2, 16)))
     for n, tol in ((4, 1e-13), (8, 1e-11), (12, 5e-10)):
         s = StehfestScheme.of_order(n)
@@ -139,10 +134,9 @@ def test_order_stability_on_decaying_pairs():
 
 def test_invert_rejects_bad_time():
     s = StehfestScheme.of_order(8)
-    for inverse in (invert, invert_mp):
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                inverse(lambda u: 1.0 / u, bad, s)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            invert(lambda u: 1.0 / u, bad, s)
 
 
 def test_evaluator_errors_carry_u():
@@ -153,48 +147,45 @@ def test_evaluator_errors_carry_u():
             raise ArithmeticError("boom")
         return 1.0 / u
 
-    for inverse in (invert, invert_mp):
-        with pytest.raises(TransformEvaluationError) as err:
-            inverse(explosive, 1.0, s)
-        assert type(err.value.u) is float and err.value.u > 2.0
-        assert "u=" in str(err.value)
-        assert isinstance(err.value.__cause__, ArithmeticError)
+    with pytest.raises(TransformEvaluationError) as err:
+        invert(explosive, 1.0, s)
+    assert type(err.value.u) is float and err.value.u > 2.0
+    assert "u=" in str(err.value)
+    assert isinstance(err.value.__cause__, ArithmeticError)
 
 
 def test_nonfinite_transform_values_are_refused():
     # NaN would pass silently and +-inf would end in a bare fsum ValueError.
     s = StehfestScheme.of_order(8)
     for bad in (math.nan, math.inf, -math.inf):
-        for inverse in (invert, invert_mp):
-            with pytest.raises(TransformEvaluationError, match="not finite") as err:
-                inverse(lambda u: bad if u > 2.0 else 1.0 / u, 1.0, s)
-            assert err.value.u > 2.0 and err.value.t == 1.0
-    # Finite samples whose weighted terms overflow (invert_mp gives 1.0): the
-    # error names the u of the first non-finite term, k = 6.
+        with pytest.raises(TransformEvaluationError, match="not finite") as err:
+            invert(lambda u: bad if u > 2.0 else 1.0 / u, 1.0, s)
+        assert err.value.u > 2.0 and err.value.t == 1.0
+    # Finite samples whose weighted terms overflow (the exact sum gives 1.0):
+    # the error names the u of the first non-finite term, k = 6.
     with pytest.raises(TransformEvaluationError, match=r"\(t=1e\+303\)") as err:
         invert(lambda u: 1.0 / u, 1e303, StehfestScheme.of_order(12))
     assert err.value.u == 6 * (math.log(2.0) / 1e303)
 
 
-def test_invert_mp_agrees_with_invert_at_low_order():
-    s = StehfestScheme.of_order(8)
-    F = lambda u: 1.0 / (u + 1.0)
-    for t in (0.1, 1.0, 3.7):
-        assert invert_mp(F, t, s) == pytest.approx(invert(F, t, s), rel=1e-12)
+_FRACTIONAL_REF = TriplePorosityParams(**REF_KWARGS).with_betas(0.9, 0.8, 0.7)
 
 
-def test_invert_mp_on_double_transform_within_cancellation_bound():
-    # wellbore_pressure_laplace converts u to a float, so invert_mp gains
-    # nothing over invert; the two agree to the double path's cancellation
-    # bound 4 eps (ln 2 / t) sum |V_k F(u_k)| (measured: 2.8e-10 relative
-    # at worst, bound 1.4e-9 at least).
-    p = TriplePorosityParams(**REF_KWARGS).with_betas(0.9, 0.8, 0.7)
-    F = lambda u: wellbore_pressure_laplace(p, u)
-    s = StehfestScheme.of_order(12)
-    for t in np.logspace(-2, 6, 9):
-        t = float(t)
-        ratio = math.log(2.0) / t
-        spread = ratio * math.fsum(abs(v * F(k * ratio))
-                                   for k, v in enumerate(s.weights, start=1))
-        assert abs(invert_mp(F, t, s) - invert(F, t, s)) <= (
-            4.0 * sys.float_info.epsilon * spread)
+@pytest.mark.parametrize("F, n, ts", [
+    (lambda u: wellbore_pressure_laplace(_FRACTIONAL_REF, u), 12,
+     [float(t) for t in np.logspace(-2, 6, 9)]),
+    (lambda u: 1.0 / (u + 1.0), 8, [0.1, 1.0, 3.7]),
+], ids=["wellbore-n12", "decay-n8"])
+def test_invert_within_cancellation_bound_of_exact_sum(F, n, ts):
+    # invert against the exact sum of the same order over the exact weights
+    # (oracle.stehfest_exact, 50 digits) agrees to the double path's
+    # cancellation bound 4 eps (ln 2 / t) sum |V_k F(u_k)|.  The wellbore
+    # transform converts u to a float, so the exact sum sees the same
+    # double-rounded F_k (measured: 2.8e-10 relative at worst, bound 1.4e-9
+    # at least); 1/(u + 1) is evaluated at 50 digits there (measured: at
+    # most 0.095 of the bound).
+    s = StehfestScheme.of_order(n)
+    weights = stehfest_weights_exact(n)
+    for t in ts:
+        exact, spread = stehfest_exact(F, t, weights)
+        assert abs(invert(F, t, s) - exact) <= 4.0 * sys.float_info.epsilon * spread
