@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .roots import CubicCoefficients, RootClassificationError, alpha_roots
+from .roots import RootClassificationError, alpha_roots
 from .specfun import bessel_k0_scaled, bessel_k1_scaled
 
 #: det(boundary matrix) below SINGULAR_TOL times the magnitude of its own
@@ -151,17 +151,6 @@ class PhysicalParams:
                 raise ValueError(f"{name} must be >= 0, got {v!r}")
 
 
-class MTerms(NamedTuple):
-    """The six auxiliary coefficients of the Laplace-space modal matrix."""
-
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    m5: float
-    m6: float
-
-
 @dataclass(frozen=True)
 class DimensionlessTransform:
     """Dimensionless model parameters plus the t_D and p_D scale factors.
@@ -190,22 +179,31 @@ def _check_radius(r_d: float) -> float:
     return r_d
 
 
-def m_terms(p: TriplePorosityParams, u: float) -> MTerms:
-    """Auxiliary coefficients at Laplace variable u > 0."""
+def m_terms(p: TriplePorosityParams, u: float) -> tuple[float, ...]:
+    """The six auxiliary coefficients (m1, ..., m6) of the modal matrix at u > 0.
+
+    m1 = u^beta_m omega_m + lambda_mf + lambda_mv, m2 = lambda_mf,
+    m3 = lambda_mv, m4 = u^beta_f omega_f + lambda_mf + lambda_fv,
+    m5 = lambda_fv and m6 = u^beta_v omega_v + lambda_mv + lambda_fv.
+    """
     # Inline domain test on the hot path; anything else gets the full check.
     if type(u) is not float or not 0.0 < u < math.inf:
         u = _check_u(u)
     lmf, lmv, lfv = p.lambda_mf, p.lambda_mv, p.lambda_fv
-    return MTerms(u**p.beta_m * (1.0 - p.omega_f - p.omega_v) + lmf + lmv, lmf, lmv,
-                  u**p.beta_f * p.omega_f + lmf + lfv, lfv,
-                  u**p.beta_v * p.omega_v + lmv + lfv)
+    return (u**p.beta_m * (1.0 - p.omega_f - p.omega_v) + lmf + lmv, lmf, lmv,
+            u**p.beta_f * p.omega_f + lmf + lfv, lfv,
+            u**p.beta_v * p.omega_v + lmv + lfv)
 
 
-def characteristic_coefficients(m: MTerms, kappa_m: float, kappa_f: float,
-                                kappa_v: float) -> CubicCoefficients:
-    """Cubic in x = alpha^2 whose roots are the squared modal decay rates."""
+def characteristic_coefficients(m: tuple[float, ...], kappa_m: float, kappa_f: float,
+                                kappa_v: float) -> tuple[float, float, float, float]:
+    """Cubic in x = alpha^2 whose roots are the squared modal decay rates.
+
+    Returns (c3, c2, c1, c0) of c3*x^3 + c2*x^2 + c1*x + c0 = det M(x), the
+    form ``roots.alpha_roots`` takes; m is the tuple of ``m_terms``.
+    """
     m1, m2, m3, m4, m5, m6 = m
-    return CubicCoefficients(
+    return (
         kappa_m * kappa_f * kappa_v,
         -(kappa_m * (kappa_f * m6 + kappa_v * m4) + kappa_f * kappa_v * m1),
         (kappa_m * m4 * m6 - kappa_m * m5 * m5
@@ -215,7 +213,7 @@ def characteristic_coefficients(m: MTerms, kappa_m: float, kappa_f: float,
          + 2.0 * m2 * m3 * m5 + m3 * m3 * m4))
 
 
-def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
+def _refine_root(x: float, m: tuple[float, ...], kappa_m: float, kappa_f: float,
                  kappa_v: float) -> float:
     """Newton steps on det(M(x)) directly.
 
@@ -242,7 +240,7 @@ def _refine_root(x: float, m: MTerms, kappa_m: float, kappa_f: float,
     return x
 
 
-def _modal_from_x(x: float, m: MTerms, kappa_m: float, kappa_f: float,
+def _modal_from_x(x: float, m: tuple[float, ...], kappa_m: float, kappa_f: float,
                   kappa_v: float) -> tuple[float, float]:
     """(A, B) from the null direction of the (rank-2) modal matrix M(x).
 
@@ -357,17 +355,18 @@ def _unscale_weight(d_scaled: float, alpha: float) -> float:
 class LaplaceAssembly(NamedTuple):
     """Per-u solution of the triple-porosity Laplace problem.
 
-    It holds the roots alpha, the modal coefficients (A, B, 1) and the
-    scaled weights D_scaled_i = D_i e^{-alpha_i}.  Times the scaled Bessel
-    value k0e(alpha_i) = K0(alpha_i) e^{alpha_i}, a scaled weight gives the
-    wellbore term D_i K0(alpha_i), so the pressures stay finite for any
-    alpha.  The unscaled view D is for output; it overflows to
-    +-inf once alpha_i + ln|D_scaled_i| exceeds ln(max double) ~709.78.
+    It holds the m-terms (m1, ..., m6) of ``m_terms``, the roots alpha, the
+    modal coefficients (A, B, 1) and the scaled weights D_scaled_i = D_i
+    e^{-alpha_i}.  Times the scaled Bessel value k0e(alpha_i) = K0(alpha_i)
+    e^{alpha_i}, a scaled weight gives the wellbore term D_i K0(alpha_i), so
+    the pressures stay finite for any alpha.  The unscaled view D is for
+    output; it overflows to +-inf once alpha_i + ln|D_scaled_i| exceeds
+    ln(max double) ~709.78.
     """
 
     params: TriplePorosityParams
     u: float
-    mterms: MTerms
+    mterms: tuple[float, ...]
     alpha: tuple[float, float, float]
     A: tuple[float, float, float]
     B: tuple[float, float, float]

@@ -6,10 +6,12 @@ Cardano otherwise) seed the dominant root; the remaining pair comes from
 synthetic deflation, and every real root is polished by safeguarded Newton
 steps on the original coefficients.  Deflation uses the Vieta forms q0 = -c0/x1
 and, when x1 dominates, q1 = (q0 - c1)/x1, so the small roots stay accurate.
+
+A cubic c3*x^3 + c2*x^2 + c1*x + c0 is passed as the plain tuple
+(c3, c2, c1, c0), leading coefficient first.
 """
 
 import math
-from typing import NamedTuple
 
 #: Roots closer than this relative gap are refused as nearly repeated.
 REPEAT_TOL = 1e-9
@@ -26,24 +28,7 @@ class RootClassificationError(Exception):
     """
 
 
-class CubicCoefficients(NamedTuple):
-    """Coefficients of c3*x^3 + c2*x^2 + c1*x + c0 with x = alpha^2."""
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def __call__(self, x: float) -> float:
-        return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
-
-    def scale_at(self, x: float) -> float:
-        """Natural magnitude of the polynomial's terms at x."""
-        return max(abs(self.c3 * x**3), abs(self.c2 * x**2),
-                   abs(self.c1 * x), abs(self.c0))
-
-
-def _polish(c: CubicCoefficients, x: float) -> float:
+def _polish(c: tuple[float, float, float, float], x: float) -> float:
     """Safeguarded Newton on the original cubic; never worsens |f|."""
     c3, c2, c1, c0 = c
     d2, d1 = 3.0 * c3, 2.0 * c2  # f'(x) = (d2 x + d1) x + c1
@@ -63,7 +48,7 @@ def _polish(c: CubicCoefficients, x: float) -> float:
     return x
 
 
-def solve_cubic_real(c: CubicCoefficients) -> tuple[float, float, float]:
+def solve_cubic_real(c: tuple[float, float, float, float]) -> tuple[float, float, float]:
     """The three real roots of the cubic, ascending.
 
     Raises ValueError when the coefficients are not finite, the leading one
@@ -126,7 +111,7 @@ def solve_cubic_real(c: CubicCoefficients) -> tuple[float, float, float]:
     return tuple(sorted((x1, _polish(c, r1), _polish(c, r2))))
 
 
-def alpha_roots(c: CubicCoefficients) -> tuple[float, float, float]:
+def alpha_roots(c: tuple[float, float, float, float]) -> tuple[float, float, float]:
     """The three alpha_i = sqrt(x_i) (ascending) of the cubic's roots x_i.
 
     The model's modal basis needs three distinct positive real roots.
@@ -150,12 +135,16 @@ def alpha_roots(c: CubicCoefficients) -> tuple[float, float, float]:
             f"characteristic equation has nearly repeated roots "
             f"{[x0, x1, x2]}")
     c3, c2, c1, c0 = c
-    # scale_at(x) >= |c0|, so passing against |c0| alone passes the full bound.
+    # The bound is RESIDUAL_TOL times the largest term of the cubic at x.
+    # That term is >= |c0|, so passing against |c0| alone passes the bound.
     tol0 = RESIDUAL_TOL * abs(c0)
     for x in (x0, x1, x2):
         res = ((c3 * x + c2) * x + c1) * x + c0
-        if not (abs(res) <= tol0 or abs(res) <= RESIDUAL_TOL * c.scale_at(x)):
+        if abs(res) <= tol0:
+            continue
+        scale = max(abs(c3 * x**3), abs(c2 * x**2), abs(c1 * x), abs(c0))
+        if not abs(res) <= RESIDUAL_TOL * scale:
             raise RootClassificationError(
                 f"root x={x!r} fails residual bound: |{res!r}| > "
-                f"{RESIDUAL_TOL} * {c.scale_at(x)!r}")
+                f"{RESIDUAL_TOL} * {scale!r}")
     return math.sqrt(x0), math.sqrt(x1), math.sqrt(x2)

@@ -21,6 +21,16 @@ SYMMETRIC_KWARGS = dict(PHYSICAL_KWARGS, phi_f=0.1, phi_v=0.1, c_f=1e-9, c_v=1e-
 COLLAPSED = TriplePorosityParams(**dict.fromkeys(REF_KWARGS, 1e-12))
 
 
+def cubic_residual(c, x: float) -> tuple[float, float]:
+    """The cubic c = (c3, c2, c1, c0) at x, and its largest term's magnitude.
+
+    ``roots.alpha_roots`` bounds the first by RESIDUAL_TOL times the second.
+    """
+    c3, c2, c1, c0 = c
+    return (((c3 * x + c2) * x + c1) * x + c0,
+            max(abs(c3 * x**3), abs(c2 * x**2), abs(c1 * x), abs(c0)))
+
+
 def ini(section: str, values: dict) -> str:
     """One INI section with a ``key = value`` line per entry, in order."""
     return "".join([f"[{section}]\n", *(f"{k} = {v}\n" for k, v in values.items())])

@@ -134,6 +134,17 @@ def test_fractional_late_time_curve_is_finite_and_non_decreasing(ref_params, bet
     assert all(b >= a for a, b in zip(pw, pw[1:]))
 
 
+@pytest.mark.parametrize("t", [1e14, *(pytest.param(t, marks=LATE_TIME_DEFECT)
+                                       for t in (1e16, 1e18, 1e20))])
+def test_fractional_late_time_derivative_plateau(ref_params, t):
+    # With orders 0.9/0.8/0.7 the true dp_w/dln t is within 1e-4 of beta*/2 =
+    # 0.35 (beta* the smallest order) from t = 1e14 on: 0.350076 at 1e14,
+    # 0.350014 at 1e20.  The curve's derivative must hold 1e-3.
+    pts = pressure_curve(ref_params.with_betas(0.9, 0.8, 0.7), log_time_grid(1e13, 1e21, 2),
+                         StehfestScheme(12))
+    assert {pt.t_D: pt.dp_w_dlnt for pt in pts}[t] == pytest.approx(0.35, abs=1e-3)
+
+
 def test_pressure_curve_classic_monotone(ref_params):
     scheme = StehfestScheme.of_order(12)
     grid = log_time_grid(1e-2, 1e8, 2)

@@ -5,26 +5,26 @@ import numpy as np
 import pytest
 
 from triporo.model import characteristic_coefficients, m_terms
-from triporo.roots import (RESIDUAL_TOL, CubicCoefficients,
-                           RootClassificationError, alpha_roots,
-                           solve_cubic_real)
+from triporo.roots import (RESIDUAL_TOL, RootClassificationError,
+                           alpha_roots, solve_cubic_real)
+
+from conftest import cubic_residual
 
 
 def from_roots(r, c3=1.0):
     a, b, c = r
-    return CubicCoefficients(c3, -c3 * (a + b + c),
-                             c3 * (a * b + a * c + b * c), -c3 * a * b * c)
+    return (c3, -c3 * (a + b + c), c3 * (a * b + a * c + b * c), -c3 * a * b * c)
 
 
 def test_three_distinct_real_roots():
-    roots = solve_cubic_real(CubicCoefficients(1.0, -14.0, 49.0, -36.0))
+    roots = solve_cubic_real((1.0, -14.0, 49.0, -36.0))
     assert roots == pytest.approx((1.0, 4.0, 9.0), rel=1e-12)
 
 
 def test_triple_root():
     # The solver returns the triple root; alpha_roots refuses it, since a
     # repeated root leaves the modal basis short of three distinct modes.
-    c = CubicCoefficients(1.0, -3.0, 3.0, -1.0)
+    c = (1.0, -3.0, 3.0, -1.0)
     assert solve_cubic_real(c) == pytest.approx((1.0, 1.0, 1.0), rel=1e-7)
     with pytest.raises(RootClassificationError, match="nearly repeated"):
         alpha_roots(c)
@@ -32,12 +32,12 @@ def test_triple_root():
 
 def test_one_real_two_complex():
     with pytest.raises(ValueError, match="complex pair"):
-        solve_cubic_real(CubicCoefficients(1.0, 0.0, 1.0, 0.0))
+        solve_cubic_real((1.0, 0.0, 1.0, 0.0))
 
 
 def test_degenerate_leading_coefficient():
     with pytest.raises(ValueError, match="leading"):
-        solve_cubic_real(CubicCoefficients(0.0, 1.0, 1.0, 1.0))
+        solve_cubic_real((0.0, 1.0, 1.0, 1.0))
 
 
 def test_near_equal_roots_refused():
@@ -96,9 +96,9 @@ def test_complex_pair_under_dominant_real_root():
         z = modulus * complex(math.cos(theta), math.sin(theta))
         x1 = abs(z) * 10.0 ** rng.uniform(2, 10) * rng.choice([-1.0, 1.0])
         c3 = 10.0 ** rng.uniform(-3, 3) * rng.choice([-1.0, 1.0])
-        c = CubicCoefficients(c3, -c3 * (x1 + 2.0 * z.real),
-                              c3 * (2.0 * z.real * x1 + abs(z) ** 2),
-                              -c3 * x1 * abs(z) ** 2)
+        c = (c3, -c3 * (x1 + 2.0 * z.real),
+             c3 * (2.0 * z.real * x1 + abs(z) ** 2),
+             -c3 * x1 * abs(z) ** 2)
         with pytest.raises(ValueError, match="complex pair"):
             solve_cubic_real(c)
 
@@ -111,11 +111,12 @@ def test_vieta_identities():
             if r[1] / r[0] > 1.01 and r[2] / r[1] > 1.01:
                 break
         c = from_roots(tuple(r), c3=10.0 ** rng.uniform(-3, 3))
+        c3, c2, c1, c0 = c
         x = np.array(solve_cubic_real(c))
-        assert x.sum() == pytest.approx(-c.c2 / c.c3, rel=1e-8)
+        assert x.sum() == pytest.approx(-c2 / c3, rel=1e-8)
         assert x[0] * x[1] + x[0] * x[2] + x[1] * x[2] == pytest.approx(
-            c.c1 / c.c3, rel=1e-8)
-        assert np.prod(x) == pytest.approx(-c.c0 / c.c3, rel=1e-8)
+            c1 / c3, rel=1e-8)
+        assert np.prod(x) == pytest.approx(-c0 / c3, rel=1e-8)
 
 
 def test_alpha_roots_square_roots():
@@ -127,18 +128,20 @@ def test_alpha_roots_square_roots():
 def test_alpha_roots_residual_bound():
     c = from_roots((1e-4, 2.5, 9e4))
     for a in alpha_roots(c):
-        assert abs(c(a * a)) <= 1e-10 * c.scale_at(a * a)
+        res, scale = cubic_residual(c, a * a)
+        assert abs(res) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("delta, passes", [(2.69e-9, True), (2.71e-9, False)])
 def test_alpha_roots_residual_bound_either_side(monkeypatch, delta, passes):
     # x = 3 + delta against the cubic of roots 1, 2, 3: the residual (~2 delta)
     # is far above RESIDUAL_TOL * |c0| = 6e-10, so the full bound
-    # RESIDUAL_TOL * scale_at(x) (~5.4e-9) decides, within 1 % either side.
+    # RESIDUAL_TOL * scale (~5.4e-9), scale the cubic's largest term at x,
+    # decides, within 1 % either side.
     c = from_roots((1.0, 2.0, 3.0))
     x = 3.0 + delta
-    res, scale = c(x), c.scale_at(x)
-    assert abs(res) > 8.0 * RESIDUAL_TOL * abs(c.c0)
+    res, scale = cubic_residual(c, x)
+    assert abs(res) > 8.0 * RESIDUAL_TOL * abs(c[3])
     assert abs(abs(res) / (RESIDUAL_TOL * scale) - 1.0) < 0.01
     monkeypatch.setattr("triporo.roots.solve_cubic_real", lambda _: (1.0, 2.0, x))
     if passes:
@@ -152,7 +155,7 @@ def test_alpha_roots_residual_bound_either_side(monkeypatch, delta, passes):
 
 def test_alpha_roots_rejects_complex():
     with pytest.raises(RootClassificationError, match="complex"):
-        alpha_roots(CubicCoefficients(1.0, 0.0, 1.0, 0.0))
+        alpha_roots((1.0, 0.0, 1.0, 0.0))
 
 
 def test_alpha_roots_rejects_nonpositive():
@@ -167,4 +170,4 @@ def test_alpha_product_matches_vieta_on_reference_set(ref_params):
                                     ref_params.kappa_v)
     out = alpha_roots(c)
     assert all(a > 0 for a in out)
-    assert math.prod(out) == pytest.approx(math.sqrt(-c.c0 / c.c3), rel=1e-10)
+    assert math.prod(out) == pytest.approx(math.sqrt(-c[3] / c[0]), rel=1e-10)

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import kve
+from scipy.special import k0e, k1e, kve
 
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
@@ -74,6 +74,16 @@ def test_scaled_ratio_matches_unscaled_ratio():
     for x in (0.5, 3.0, 30.0, 300.0):
         assert bessel_k0_scaled(x) / bessel_k1_scaled(x) == pytest.approx(
             float(mp.besselk(0, x) / mp.besselk(1, x)), rel=1e-13)
+
+
+@pytest.mark.parametrize("fn, ufunc", [(bessel_k0_scaled, k0e), (bessel_k1_scaled, k1e)])
+def test_bit_equal_to_the_scipy_ufunc(fn, ufunc):
+    # The wrappers bind scipy's Cython entry point, not the ufunc; both run
+    # the same kernel, so every value is the ufunc's to the bit, as a float.
+    grid = np.concatenate((np.logspace(-300, 300, 12001), np.linspace(0.0, 800.0, 80001)[1:]))
+    for x in map(float, grid):
+        y = fn(x)
+        assert type(y) is float and y == float(ufunc(x)) and 0.0 < y < math.inf, x
 
 
 @pytest.mark.parametrize("fn", [bessel_k0_scaled, bessel_k1_scaled])
