@@ -53,14 +53,14 @@ def _check_order(n: int) -> int:
     return int(n)
 
 
-def stehfest_weights_exact(n: int) -> tuple[Fraction, ...]:
-    """The n weights as exact rationals."""
-    return _exact_weights(_check_order(n))
-
-
 @functools.cache
-def _exact_weights(n: int) -> tuple[Fraction, ...]:
-    """Derived and checked once per order; a tuple, so the cache is immutable."""
+def stehfest_weights_exact(n: int) -> tuple[Fraction, ...]:
+    """The n weights as exact rationals.
+
+    Derived and checked once per order; a tuple, so the cache is immutable.
+    A refused order raises and is not cached.
+    """
+    n = _check_order(n)
     half = n // 2
     weights = []
     for k in range(1, n + 1):

@@ -20,6 +20,13 @@ SYMMETRIC_KWARGS = dict(PHYSICAL_KWARGS, phi_f=0.1, phi_v=0.1, c_f=1e-9, c_v=1e-
 # Every dimensionless parameter at 1e-12: the single-medium limit.
 COLLAPSED = TriplePorosityParams(**dict.fromkeys(REF_KWARGS, 1e-12))
 
+# Late times (ROADMAP finding 5).  Each case that fails there is a strict
+# xfail; accurate modes (ROADMAP items 2 and 3) turn it into an XPASS, and
+# its marker then goes.
+LATE_TIME_DEFECT = pytest.mark.xfail(strict=True, reason=(
+    "known defect: as u falls, the storage term u^beta omega of m1, m4 and m6 "
+    "rounds away against the couplings, so the slowest mode is lost"))
+
 
 def cubic_residual(c, x: float) -> tuple[float, float]:
     """The cubic c = (c3, c2, c1, c0) at x, and its largest term's magnitude.

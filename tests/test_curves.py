@@ -10,6 +10,8 @@ from triporo.curves import (CSV_HEADER, CurvePoint, bourdet_derivative,
 from triporo.inversion import StehfestScheme, TransformEvaluationError
 from triporo.model import TriplePorosityParams
 
+from conftest import LATE_TIME_DEFECT
+
 
 def test_log_grid_decade_endpoints():
     assert log_time_grid(1.0, 100.0, 1) == pytest.approx([1.0, 10.0, 100.0], rel=1e-14)
@@ -95,14 +97,6 @@ def test_pressure_curve_monotone_where_storage_rounds_away():
     pw = [pt.p_w for pt in pressure_curve(p, log_time_grid(1e-1, 1e5, 5),
                                           StehfestScheme(12))]
     assert all(b >= a for a, b in zip(pw, pw[1:]))
-
-
-# Late times (ROADMAP finding 5).  Each case that fails there is a strict
-# xfail; accurate modes (ROADMAP items 2 and 3) turn it into an XPASS, and
-# its marker then goes.
-LATE_TIME_DEFECT = pytest.mark.xfail(strict=True, reason=(
-    "known defect: as u falls, the storage term u^beta omega of m1, m4 and m6 "
-    "rounds away against the couplings, so the slowest mode is lost"))
 
 
 @pytest.mark.parametrize("t", [1e8, *(pytest.param(t, marks=LATE_TIME_DEFECT)

@@ -471,11 +471,14 @@ def test_field_pressure_at_wellbore_equals_pw(ref_params):
 
 
 def test_field_pressure_decays_with_radius(ref_params):
-    vals = [field_pressure_laplace(ref_params, 1.0, rd) for rd in (1.0, 2.0, 10.0, 100.0)]
+    # At r_d = 1e308, alpha * r_d overflows to inf, where K0e(inf) = 0.
+    vals = [field_pressure_laplace(ref_params, 1.0, rd)
+            for rd in (1.0, 2.0, 10.0, 100.0, 1e308)]
     for j in range(3):
         comp = [v[j] for v in vals]
         assert all(b < a for a, b in zip(comp, comp[1:]))
-    assert vals[-1][2] < 1e-3 * vals[0][2]
+    assert vals[3][2] < 1e-3 * vals[0][2]
+    assert vals[-1] == (0.0, 0.0, 0.0)
 
 
 def test_field_pressure_satisfies_laplace_system(ref_params):
@@ -545,6 +548,8 @@ def test_single_medium_decays_with_radius():
     vals = [single_medium_pressure_laplace(1.0, 1.0, rd) for rd in (1.0, 3.0, 30.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-10 * vals[0]
+    # r_d * sqrt(u^a) = 1e309 overflows to inf, where K0e(inf) = 0.
+    assert single_medium_pressure_laplace(1.0, 100.0, 1e308) == 0.0
 
 
 def test_single_medium_domain_errors():
