@@ -10,13 +10,11 @@ it with the Gaver-Stehfest algorithm.
 from .curves import (CurvePoint, bourdet_derivative, log_time_grid,
                      pressure_curve, read_curve, write_curve)
 from .inversion import StehfestScheme, TransformEvaluationError, invert
-from .model import (ConsistencyError, DimensionlessTransform, LaplaceAssembly,
-                    NullSpaceError, PhysicalParams, SingularBoundaryError,
-                    TriplePorosityParams, field_pressure_laplace,
+from .model import (DimensionlessTransform, LaplaceAssembly, ModelError,
+                    PhysicalParams, TriplePorosityParams, field_pressure_laplace,
                     from_dimensionless, laplace_assembly,
                     single_medium_pressure_laplace, to_dimensionless,
                     wellbore_pressure_laplace)
-from .roots import RootClassificationError
 
 __version__ = "0.1.0"
 
@@ -33,6 +31,5 @@ __all__ = [
     "log_time_grid", "pressure_curve", "bourdet_derivative", "CurvePoint",
     "write_curve", "read_curve",
     # errors
-    "ConsistencyError", "NullSpaceError", "SingularBoundaryError",
-    "RootClassificationError", "TransformEvaluationError",
+    "ModelError", "TransformEvaluationError",
 ]

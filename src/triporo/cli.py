@@ -2,9 +2,9 @@
 
 Configuration is an INI-style file with sections [model] or [physical]
 (exactly one), plus optional [grid], [inversion], [output], [sweep] and
-[laplace] sections.  The [model] keys are the fields of TriplePorosityParams;
-the [physical] keys are those of PhysicalParams plus the orders beta_m/f/v.
-A field with a default (each beta, 1.0) is optional.
+[laplace] sections; any other section or key is refused.  The [model] keys
+are the fields of TriplePorosityParams; the [physical] keys are those of
+PhysicalParams plus the orders beta_m/f/v (each optional, default 1.0).
 
 Exit codes: 0 success, 1 configuration error, 2 model error, 3 I/O error.
 """
@@ -21,18 +21,24 @@ from pathlib import Path
 from .curves import (CURVE_FORMATS, log_time_grid, pressure_curve, write_csv,
                      write_curve)
 from .inversion import StehfestScheme, TransformEvaluationError
-from .model import (ConsistencyError, DimensionlessTransform, NullSpaceError,
-                    PhysicalParams, SingularBoundaryError,
+from .model import (DimensionlessTransform, ModelError, PhysicalParams,
                     TriplePorosityParams, laplace_assembly, to_dimensionless)
-from .roots import RootClassificationError
 
 EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_IO = 0, 1, 2, 3
 
-MODEL_ERRORS = (RootClassificationError, NullSpaceError, SingularBoundaryError,
-                ConsistencyError, TransformEvaluationError)
+MODEL_ERRORS = (ModelError, TransformEvaluationError)
 
 LAPLACE_HEADER = ("u,m1,m2,m3,m4,m5,m6,alpha1,alpha2,alpha3,"
                   "A1,A2,A3,B1,B2,B3,D1,D2,D3,pw_bar")
+
+#: The keys read from each config section; [physical] also reads the orders.
+_ORDERS = [f for f in dataclasses.fields(TriplePorosityParams)
+           if f.default is not dataclasses.MISSING]
+_KEYS = {"model": {f.name for f in dataclasses.fields(TriplePorosityParams)},
+         "physical": {f.name for f in (*dataclasses.fields(PhysicalParams), *_ORDERS)},
+         "grid": {"t_min", "t_max", "points_per_decade"}, "inversion": {"stehfest_n"},
+         "output": {"path", "format"}, "sweep": {"triples"},
+         "laplace": {"u_values", "u_min", "u_max", "points_per_decade"}}
 
 
 class ConfigError(Exception):
@@ -55,7 +61,20 @@ def _load(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
+    _check_keys(cfg)
     return cfg
+
+
+def _check_keys(cfg) -> None:
+    """Refuse what no command reads, and u_values mixed with a [laplace] grid."""
+    for section in cfg.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg.options(section):  # [DEFAULT] keys included
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            if section == "laplace" and key != "u_values" and "u_values" in cfg[section]:
+                raise ConfigError(f"key {key!r} in [laplace] cannot be combined with u_values")
 
 
 def _get_float(cfg, section: str, key: str, default=None) -> float:
@@ -117,10 +136,8 @@ def _build_transform(cfg) -> DimensionlessTransform:
         scales = to_dimensionless(phys)
     except ValueError as exc:
         raise ConfigError(f"invalid derived dimensionless parameters: {exc}") from exc
-    orders = [f for f in dataclasses.fields(scales.params)
-              if f.default is not dataclasses.MISSING]
     try:
-        params = dataclasses.replace(scales.params, **_read_fields(cfg, "physical", orders))
+        params = dataclasses.replace(scales.params, **_read_fields(cfg, "physical", _ORDERS))
     except ValueError as exc:
         raise ConfigError(f"invalid [physical] parameters: {exc}") from exc
     return dataclasses.replace(scales, params=params)

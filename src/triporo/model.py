@@ -41,16 +41,8 @@ CONSISTENCY_TOL = 1e-9
 RATIO_TOL = 1e-8
 
 
-class NullSpaceError(Exception):
-    """The modal matrix has no unique (A, B, 1)-normalizable null direction."""
-
-
-class SingularBoundaryError(Exception):
-    """The wellbore boundary system is numerically singular."""
-
-
-class ConsistencyError(Exception):
-    """The three-media wellbore pressures disagree beyond tolerance."""
+class ModelError(Exception):
+    """The Laplace-space solution at this u does not exist or fails its check."""
 
 
 @dataclass(frozen=True)
@@ -276,16 +268,16 @@ def _modal_from_x(x: float, m: tuple[float, ...], kappa_m: float, kappa_f: float
     if mag0 > mag:
         n, mag = (a00, a01, a02), mag0
     if mag <= RANK_TOL * scale:
-        raise NullSpaceError(
+        raise ModelError(
             f"modal matrix has rank < 2 (cross products <= {RANK_TOL} * row scale "
             f"{scale!r}); no unique null direction")
     if n[2] == 0.0:
-        raise NullSpaceError(
+        raise ModelError(
             f"null direction {n!r} at x={x!r} has zero third component; "
             "normalization to C=1 is impossible (decoupled medium)")
     a, b = n[0] / n[2], n[1] / n[2]
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise NullSpaceError(
+        raise ModelError(
             f"normalization to C=1 overflows for null direction {n!r} at x={x!r}")
     return a, b
 
@@ -326,7 +318,7 @@ def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
     # Cancellation metric: the determinant against its own expansion terms.
     scale = max(abs(t0), abs(t1), abs(t2), abs(t3), abs(t4), abs(t5))
     if not abs(det) > SINGULAR_TOL * scale:
-        raise SingularBoundaryError(
+        raise ModelError(
             f"boundary system singular: |det|={abs(det)!r} "
             f"<= {SINGULAR_TOL} * row scale {scale!r}")
     ud = u * det
@@ -390,14 +382,14 @@ class LaplaceAssembly(NamedTuple):
         """(matrix, fracture, vug) wellbore pressures; equal in exact arithmetic.
 
         Their disagreement beyond CONSISTENCY_TOL, or a non-finite value,
-        raises ConsistencyError ending in "(u=..., params=...)".
+        raises ModelError ending in "(u=..., params=...)".
         """
         a0, a1, a2 = self.alpha
         pm, pf, pv = self._modal_sum(
             bessel_k0_scaled(a0), bessel_k0_scaled(a1), bessel_k0_scaled(a2))
         tol = CONSISTENCY_TOL * abs(pv)
         if not (abs(pm - pv) <= tol and abs(pf - pv) <= tol):
-            raise ConsistencyError(
+            raise ModelError(
                 f"wellbore pressure triple equality violated: matrix={pm!r} "
                 f"fracture={pf!r} vug={pv!r}{_context(self.u, self.params)}")
         return pm, pf, pv
@@ -421,8 +413,8 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
         A2, B2 = _modal_from_x(x2, m, km, kf, kv)
         A, B = (A0, A1, A2), (B0, B1, B2)
         D = solve_boundary(*boundary_vectors(alpha, A, B, km, kf, kv), u)
-    except (RootClassificationError, NullSpaceError, SingularBoundaryError) as exc:
-        raise type(exc)(f"{exc}{_context(u, p)}") from exc
+    except (RootClassificationError, ModelError) as exc:
+        raise ModelError(f"{exc}{_context(u, p)}") from exc
     return LaplaceAssembly(p, u, m, alpha, A, B, D)
 
 

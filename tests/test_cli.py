@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -223,13 +225,21 @@ def test_sweep_requires_triples(tmp_path, capsys):
 
 
 def test_laplace_runs_the_consistency_check(tmp_path, monkeypatch, capsys):
-    import triporo.model
-
-    monkeypatch.setattr(triporo.model, "CONSISTENCY_TOL", 0.0)
+    # Each refusal of the Laplace chain, forced on the README set at u = 1,
+    # is one model error that names the evaluation once: the triple-equality
+    # check, the boundary solve, the modal null direction and the roots.
     cfg = write_cfg(tmp_path, MODEL_BLOCK + SMALL_RUN + "\n[laplace]\nu_values = 1.0\n")
-    assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "lap.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "model error:" in err and "u=1.0" in err
+    for target, value in (("triporo.model.CONSISTENCY_TOL", 0.0),
+                          ("triporo.model.SINGULAR_TOL", 10.0),
+                          ("triporo.model.RANK_TOL", 1.0),
+                          ("triporo.roots.REPEAT_TOL", 1.0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, value)
+            assert main(["laplace", "--config", cfg, "--out", str(tmp_path / "lap.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error:"), target
+        assert err.count("(u=1.0, params=") == 1, target
+    assert not (tmp_path / "lap.csv").exists()
 
 
 def test_laplace_reports_unsolvable_large_u_as_model_error(tmp_path, capsys):
@@ -330,6 +340,41 @@ def test_time_grid_errors_name_the_key(tmp_path, capsys):
         assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
         assert capsys.readouterr().err == f"error: invalid [grid]: {msg}\n"
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("curve", MODEL_BLOCK + "betaf = 0.5\n" + SMALL_RUN, "unknown key 'betaf' in [model]"),
+    ("curve", MODEL_BLOCK + "omega_m = 0.5\n" + SMALL_RUN, "unknown key 'omega_m' in [model]"),
+    ("curve", MODEL_BLOCK + SMALL_RUN.replace("t_max = 1e4", "tmax = 1e3"),
+     "unknown key 'tmax' in [grid]"),
+    ("curve", MODEL_BLOCK + SMALL_RUN.replace("[grid]", "[grid]\nstehfest_n = 14"),
+     "unknown key 'stehfest_n' in [grid]"),
+    ("curve", MODEL_BLOCK + SMALL_RUN.replace("[grid]", "[Grid]"), "unknown section [Grid]"),
+    ("laplace", MODEL_BLOCK + "\n[laplace]\nu_values = 1.0\nu_min = 0.1\nu_max = 10\n",
+     "key 'u_min' in [laplace] cannot be combined with u_values"),
+    # A [DEFAULT] key is a key of every section, so [model] has it too.
+    ("curve", "[DEFAULT]\npoints_per_decade = 3\n" + MODEL_BLOCK + SMALL_RUN,
+     "unknown key 'points_per_decade' in [model]"),
+], ids=["betaf", "omega_m", "tmax", "grid-stehfest_n", "Grid", "u_values-and-grid", "DEFAULT"])
+def test_keys_no_command_reads_are_refused(tmp_path, capsys, command, text, named):
+    # Each of these ran with a default in place of what the file says.
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
+
+
+def test_readme_example_config_runs(tmp_path):
+    # The README's example holds every section, so each command must take it.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```ini\n(.*?)```", section, flags=re.S)
+    cfg = write_cfg(tmp_path, block)
+    for command in ("curve", "sweep", "laplace"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0, command
+    assert (tmp_path / "curve.csv").exists() and (tmp_path / "laplace.csv").exists()
+    assert len(list(tmp_path.glob("sweep_*.csv"))) == 3
 
 
 def test_laplace_requires_section(tmp_path):

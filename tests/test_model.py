@@ -10,9 +10,8 @@ import oracle
 
 from triporo.curves import log_time_grid, pressure_curve
 from triporo.inversion import StehfestScheme
-from triporo.model import (ConsistencyError, NullSpaceError,
-                           PhysicalParams, SingularBoundaryError,
-                           TriplePorosityParams, _modal_from_x, _unscale_weight,
+from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
+                           _modal_from_x, _unscale_weight,
                            boundary_vectors, characteristic_coefficients,
                            field_pressure_laplace, from_dimensionless,
                            laplace_assembly, m_terms,
@@ -205,14 +204,14 @@ def test_modal_closed_form_wide_sweep(ref_params):
 def test_modal_decoupled_medium_reports_degeneracy():
     # With all couplings exactly zero each null vector is axis-directed and
     # C-normalization must fail loudly.
-    with pytest.raises(NullSpaceError, match=r"decoupled medium.*\(u=1\.0, params="):
+    with pytest.raises(ModelError, match=r"decoupled medium.*\(u=1\.0, params="):
         laplace_assembly(UNCOUPLED, 1.0)
 
 
 def test_modal_rank_deficient_matrix_raises():
     # kappa = 1, x = 1: M(x) = diag(0, 0, -1) has rank 1, so every 2x2 minor
     # of the adjugate vanishes and no null direction is singled out.
-    with pytest.raises(NullSpaceError, match="rank < 2"):
+    with pytest.raises(ModelError, match="rank < 2"):
         _modal_from_x(1.0, (1, 0, 0, 1, 0, 2), 1.0, 1.0, 1.0)
 
 
@@ -274,7 +273,7 @@ def test_solve_boundary_permuted_rows():
 
 
 def test_solve_boundary_singular():
-    with pytest.raises(SingularBoundaryError, match="singular"):
+    with pytest.raises(ModelError, match="singular"):
         solve_boundary((1, 0, 0), (1, 0, 0), (0, 0, 1), 1.0)
 
 
@@ -282,14 +281,14 @@ def test_singular_boundary_from_assembly_names_u_once(ref_params, monkeypatch):
     # laplace_assembly adds the context; solve_boundary does not repeat it.
     monkeypatch.setattr("triporo.model.boundary_vectors",
                         lambda *args: ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
-    with pytest.raises(SingularBoundaryError) as info:
+    with pytest.raises(ModelError) as info:
         laplace_assembly(ref_params, 1.0)
     assert str(info.value).count("u=") == 1
     assert "(u=1.0, params=TriplePorosityParams(" in str(info.value)
 
 
 def test_solve_boundary_refuses_nan_entry():
-    with pytest.raises(SingularBoundaryError, match="nan"):
+    with pytest.raises(ModelError, match="nan"):
         solve_boundary((1, 0, 0), (0, math.nan, 0), (0, 0, 1), 1.0)
 
 
@@ -330,7 +329,7 @@ def test_wellbore_pressures_check_triple_equality(ref_params):
     A = (asm.A[0] * (1.0 + 1e-6), *asm.A[1:])
     D = (asm.D_scaled[0], math.nan, asm.D_scaled[2])
     for bad in (asm._replace(A=A), asm._replace(D_scaled=D)):
-        with pytest.raises(ConsistencyError) as info:
+        with pytest.raises(ModelError) as info:
             bad.wellbore_pressures()
         assert str(info.value).endswith(f" (u=1.0, params={ref_params!r})")
 
@@ -429,7 +428,7 @@ def test_int_and_numpy_u_give_the_float_bits(ref_params):
 def test_unsolvable_large_u_is_a_root_classification_error(ref_kwargs, betas, u, cause):
     p = TriplePorosityParams(**ref_kwargs).with_betas(*betas)
     context = re.escape(f"(u={u!r}, params={p!r})")
-    with pytest.raises(RootClassificationError, match=context) as info:
+    with pytest.raises(ModelError, match=context) as info:
         wellbore_pressure_laplace(p, u)
     # The error from alpha_roots is chained, and the arithmetic cause behind it.
     assert isinstance(info.value.__cause__, RootClassificationError)
@@ -453,8 +452,9 @@ def test_unsolvable_large_u_is_a_root_classification_error(ref_kwargs, betas, u,
 ], ids=["omega_m0-1e27", "omega_m0-1e30", "decoupled-equal-ratios", "nan-roots"])
 def test_inadmissible_roots_are_refused_before_the_boundary_solve(kwargs, u, message):
     p = TriplePorosityParams(**kwargs)
-    with pytest.raises(RootClassificationError) as info:
+    with pytest.raises(ModelError) as info:
         laplace_assembly(p, u)
+    assert isinstance(info.value.__cause__, RootClassificationError)
     assert message in str(info.value)
     assert str(info.value).endswith(f"(u={u!r}, params={p!r})")
 
