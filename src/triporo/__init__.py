@@ -8,28 +8,26 @@ it with the Gaver-Stehfest algorithm.
 """
 
 from .curves import (CurvePoint, bourdet_derivative, log_time_grid,
-                     pressure_curve, read_curve, write_curve)
+                     pressure_curve, write_curve)
 from .inversion import StehfestScheme, TransformEvaluationError, invert
 from .model import (DimensionlessTransform, LaplaceAssembly, ModelError,
                     PhysicalParams, TriplePorosityParams, field_pressure_laplace,
-                    from_dimensionless, laplace_assembly,
-                    single_medium_pressure_laplace, to_dimensionless,
-                    wellbore_pressure_laplace)
+                    laplace_assembly, to_dimensionless, wellbore_pressure_laplace)
 
 __version__ = "0.1.0"
 
 __all__ = [
     # parameters
     "TriplePorosityParams", "PhysicalParams", "DimensionlessTransform",
-    "to_dimensionless", "from_dimensionless",
+    "to_dimensionless",
     # Laplace space
     "wellbore_pressure_laplace", "laplace_assembly", "LaplaceAssembly",
-    "field_pressure_laplace", "single_medium_pressure_laplace",
+    "field_pressure_laplace",
     # inversion
     "StehfestScheme", "invert",
     # curves
     "log_time_grid", "pressure_curve", "bourdet_derivative", "CurvePoint",
-    "write_curve", "read_curve",
+    "write_curve",
     # errors
     "ModelError", "TransformEvaluationError",
 ]

@@ -6,6 +6,9 @@ Configuration is an INI-style file with sections [model] or [physical]
 are the fields of TriplePorosityParams; the [physical] keys are those of
 PhysicalParams plus the orders beta_m/f/v (each optional, default 1.0).
 
+[output] path names the curve and sweep outputs only; the laplace dump
+goes to --out, or else laplace.csv, so it never overwrites a curve.
+
 Exit codes: 0 success, 1 configuration error, 2 model error, 3 I/O error.
 """
 
@@ -274,7 +277,7 @@ def cmd_laplace(args) -> int:
     us = _u_grid(cfg)
     if cfg.get("output", "format", fallback="csv") != "csv":
         raise ConfigError("laplace command writes csv only")
-    out = _out_path(cfg, args, "laplace", "csv")
+    out = Path(args.out or "laplace.csv")
     rows = []
     t0 = time.perf_counter()
     for u in us:
@@ -308,7 +311,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Triple-porosity fractional-diffusion pressure transients")
 
     flags = {
-        "--out": dict(help="output path (overrides [output] path)"),
+        "--out": dict(help="output path (curve and sweep: overrides [output] path; "
+                           "laplace: default laplace.csv)"),
         "--format": dict(choices=CURVE_FORMATS,
                          help="output format (overrides [output] format)"),
         "--stehfest-n": dict(type=int, dest="stehfest_n",

@@ -121,25 +121,3 @@ def _write_text(text: str, destination) -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {destination!r}: {exc}") from exc
-
-
-def read_curve(source, fmt: str = "csv") -> list[CurvePoint]:
-    """Parse a curve file written by write_curve."""
-    with open(source, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    points = []
-    if fmt == "csv":
-        lines = [ln for ln in text.split("\n") if ln]
-        if not lines or lines[0] != CSV_HEADER:
-            raise ValueError(f"bad curve header in {source!r}")
-        for ln in lines[1:]:
-            t, pw, d = ln.split(",")
-            points.append(CurvePoint(t_D=float(t), p_w=float(pw),
-                                     dp_w_dlnt=float(d) if d else None))
-    elif fmt == "json":
-        for row in json.loads(text):
-            points.append(CurvePoint(t_D=row["t_D"], p_w=row["p_w"],
-                                     dp_w_dlnt=row["dp_w_dlnt"]))
-    else:
-        raise ValueError(f"unknown curve format {fmt!r}")
-    return points

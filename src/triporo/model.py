@@ -434,24 +434,6 @@ def field_pressure_laplace(p: TriplePorosityParams, u: float,
                             for a in asm.alpha))
 
 
-def single_medium_pressure_laplace(alpha_order: float, u: float,
-                                   r_d: float = 1.0) -> float:
-    """Laplace-space pressure of the single-medium fractional model.
-
-    p(u, r_d) = K0(r_d sqrt(u^a)) / (u sqrt(u^a) K1(sqrt(u^a))), the
-    decaying branch of the modified Bessel equation.
-    """
-    if not 0.0 < alpha_order <= 1.0:
-        raise ValueError(f"fractional order must be in (0, 1], got {alpha_order!r}")
-    u = _check_u(u)
-    r_d = _check_radius(r_d)
-    z = math.sqrt(u**alpha_order)
-    val = bessel_k0_scaled(r_d * z) / (u * z * bessel_k1_scaled(z))
-    if r_d != 1.0:
-        val *= math.exp(-(r_d - 1.0) * z)
-    return val
-
-
 def to_dimensionless(phys: PhysicalParams) -> DimensionlessTransform:
     """Dimensionless parameters and scale factors from dimensional quantities.
 
@@ -492,9 +474,3 @@ def _scale(name: str, num: float, den: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} = {num!r} / {den!r} must be finite and > 0")
     return value
-
-
-def from_dimensionless(p_d: float, scales: DimensionlessTransform,
-                       phys: PhysicalParams) -> float:
-    """Pressure in Pa from a dimensionless pressure deficit value."""
-    return phys.p_i - p_d / scales.p_scale

@@ -1,6 +1,8 @@
+import csv
+
 import pytest
 
-from triporo import TriplePorosityParams
+from triporo import CurvePoint, TriplePorosityParams
 
 # Carbonate-style reference set used throughout: fracture-dominated flow,
 # vug-dominated storage, weak interporosity coupling.
@@ -36,6 +38,13 @@ def cubic_residual(c, x: float) -> tuple[float, float]:
     c3, c2, c1, c0 = c
     return (((c3 * x + c2) * x + c1) * x + c0,
             max(abs(c3 * x**3), abs(c2 * x**2), abs(c1 * x), abs(c0)))
+
+
+def read_curve_csv(path) -> list[CurvePoint]:
+    """The points of a curve CSV file, through the stdlib csv module."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [CurvePoint(**{k: float(v) if v else None for k, v in row.items()})
+                for row in csv.DictReader(fh)]
 
 
 def ini(section: str, values: dict) -> str:

@@ -15,6 +15,10 @@ pressures and the unit-rate flux condition give
 The float parameters and u are taken as exact; everything runs at the
 caller's ``mp.workdps``.
 
+It also holds the single-medium fractional solution of order a,
+K0(r z) / (u z K1(z)) with z = sqrt(u^a), from mpmath's Bessel functions:
+the limit the triple-porosity model collapses to.
+
 It also holds the tests' one exact Gaver-Stehfest sum: the textbook
 weights at 50 digits, and the order-n sum (ln 2 / t) sum V_k F(u_k) at
 50 digits over those or any other weights, the package's exact rationals
@@ -74,6 +78,13 @@ def field(p, u, r):
         for i in range(3):
             out[i] += w[i] / y[i] * c
     return [pw * v for v in out]
+
+
+def single_medium(order, u, r=1):
+    """The single-medium pressure of fractional order ``order`` at radius r."""
+    u = mp.mpf(u)
+    z = mp.sqrt(u ** mp.mpf(order))
+    return mp.besselk(0, mp.mpf(r) * z) / (u * z * mp.besselk(1, z))
 
 
 def stehfest_weights_50(n):

@@ -364,17 +364,34 @@ def test_keys_no_command_reads_are_refused(tmp_path, capsys, command, text, name
     assert not out.exists()
 
 
-def test_readme_example_config_runs(tmp_path):
-    # The README's example holds every section, so each command must take it.
+def readme_cfg(tmp_path):
+    """The README's example config, written to tmp_path."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     (block,) = re.findall(r"```ini\n(.*?)```", section, flags=re.S)
-    cfg = write_cfg(tmp_path, block)
+    return write_cfg(tmp_path, block)
+
+
+def test_readme_example_config_runs(tmp_path):
+    # The README's example holds every section, so each command must take it.
+    cfg = readme_cfg(tmp_path)
     for command in ("curve", "sweep", "laplace"):
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0, command
     assert (tmp_path / "curve.csv").exists() and (tmp_path / "laplace.csv").exists()
     assert len(list(tmp_path.glob("sweep_*.csv"))) == 3
+
+
+def test_laplace_without_out_leaves_the_curve_file(tmp_path, monkeypatch):
+    # [output] path (curve.csv in the README) names the curve; the laplace
+    # dump goes to laplace.csv when --out is absent.
+    monkeypatch.chdir(tmp_path)
+    cfg = readme_cfg(tmp_path)
+    for command in ("curve", "laplace"):
+        assert main([command, "--config", cfg, "--quiet"]) == 0, command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "laplace.csv", "run.ini"]
+    assert (tmp_path / "curve.csv").read_text().startswith("t_D,p_w,dp_w_dlnt\n")
+    assert (tmp_path / "laplace.csv").read_text().startswith(LAPLACE_HEADER + "\n")
 
 
 def test_laplace_requires_section(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import fields
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -13,10 +14,9 @@ from triporo.inversion import StehfestScheme
 from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
                            _modal_from_x, _unscale_weight,
                            boundary_vectors, characteristic_coefficients,
-                           field_pressure_laplace, from_dimensionless,
-                           laplace_assembly, m_terms,
-                           single_medium_pressure_laplace, solve_boundary,
-                           to_dimensionless, wellbore_pressure_laplace)
+                           field_pressure_laplace, laplace_assembly, m_terms,
+                           solve_boundary, to_dimensionless,
+                           wellbore_pressure_laplace)
 from triporo.roots import RootClassificationError, solve_cubic_real
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
@@ -342,12 +342,36 @@ def test_wellbore_pressure_decreasing_in_u(ref_params):
 
 
 def test_collapsed_limit_matches_single_medium():
+    # The single-medium value comes from the oracle's mpmath Bessel
+    # functions, not from the library's scipy kernels.
     for alpha in (1.0, 0.8, 0.6):
         p = COLLAPSED.with_betas(alpha, alpha, alpha)
         for u in np.logspace(-3, 3, 13):
             triple = wellbore_pressure_laplace(p, float(u))
-            single = single_medium_pressure_laplace(alpha, float(u))
+            with mp.workdps(20):
+                single = float(oracle.single_medium(alpha, float(u)))
             assert triple == pytest.approx(single, rel=1e-4)
+
+
+@pytest.mark.xfail(strict=True, raises=(ModelError, AssertionError), reason=(
+    "known defect (ROADMAP finding 8): equal media share a decoupled mode, so the "
+    "chain finds a complex pair, nearly repeated roots or a singular boundary "
+    "system, and misses the single-medium value by up to 1e-5 where it gives one"))
+@pytest.mark.parametrize("order", [1.0, 0.8])
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0])
+def test_identical_media_match_single_medium(lam, order):
+    # Three identical media carry one pressure, so the couplings do nothing
+    # and p_w is the single medium's, from the oracle's Bessel functions.
+    # 1e-12 is the README set's pin against the oracle (worst 2.1e-14).
+    third = 1.0 / 3.0
+    p = TriplePorosityParams(omega_f=third, omega_v=third, kappa_f=third, kappa_v=third,
+                             lambda_mf=lam, lambda_mv=lam, lambda_fv=lam,
+                             beta_m=order, beta_f=order, beta_v=order)
+    for u in np.logspace(-8, 8, 161):
+        got = wellbore_pressure_laplace(p, float(u))
+        with mp.workdps(20):
+            expected = float(oracle.single_medium(order, float(u)))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0), u
 
 
 @pytest.mark.parametrize("betas", [(0.9, 0.8, 0.7), (0.77, 0.56, 0.6), (1.0, 1.0, 1.0)])
@@ -526,39 +550,40 @@ def test_field_pressure_rejects_small_radius(ref_params):
         field_pressure_laplace(ref_params, 1.0, 0.5)
 
 
-# --------------------------------------------------- single-medium model
+# ------------------------------------------- the oracle's single medium
 
 def test_single_medium_at_unit_radius():
-    assert single_medium_pressure_laplace(1.0, 1.0, 1.0) == pytest.approx(
-        float(mp.besselk(0, 1) / mp.besselk(1, 1)), rel=1e-13)
+    # Three identical media carry one pressure, so at r = 1 the oracle's
+    # single-medium value is its three-media wellbore value for any
+    # coupling: the Bessel closed form against the eigenpairs of T.
+    with mp.workdps(40):
+        third = mp.mpf(1) / 3
+        for order in (1, 0.8):
+            for lam in (1e-3, 1):
+                p = SimpleNamespace(omega_m=third, omega_f=third, omega_v=third,
+                                    kappa_m=third, kappa_f=third, kappa_v=third,
+                                    lambda_mf=lam, lambda_mv=lam, lambda_fv=lam,
+                                    beta_m=order, beta_f=order, beta_v=order)
+                for u in (1e-2, 1e2):
+                    single = oracle.single_medium(order, u)
+                    assert abs(oracle.wellbore(p, u) / single - 1) <= mp.mpf(10) ** -35
 
 
 def test_single_medium_flux_boundary_condition():
-    # r dp/dr at r_D = 1 equals -1/u: the derivative of K0(r z) is
-    # -z K1(r z), so the residual is algebraically zero.
+    # -r dp/dr at r = 1 equals 1/u, the unit-rate well condition; mpmath
+    # differentiates the oracle's pressure numerically in r.
     for alpha in (1.0, 0.7):
         for u in (0.1, 1.0, 10.0):
-            z = math.sqrt(u ** alpha)
-            amp = single_medium_pressure_laplace(alpha, u, 1.0) / float(mp.besselk(0, z))
-            flux = -amp * z * float(mp.besselk(1, z))
-            assert flux == pytest.approx(-1.0 / u, rel=1e-12)
+            with mp.workdps(30):
+                slope = mp.diff(lambda r: oracle.single_medium(alpha, u, r), 1)
+                assert abs(slope * u + 1) <= mp.mpf(10) ** -20
 
 
 def test_single_medium_decays_with_radius():
-    vals = [single_medium_pressure_laplace(1.0, 1.0, rd) for rd in (1.0, 3.0, 30.0)]
+    with mp.workdps(20):
+        vals = [oracle.single_medium(1.0, 1.0, rd) for rd in (1.0, 3.0, 30.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-10 * vals[0]
-    # r_d * sqrt(u^a) = 1e309 overflows to inf, where K0e(inf) = 0.
-    assert single_medium_pressure_laplace(1.0, 100.0, 1e308) == 0.0
-
-
-def test_single_medium_domain_errors():
-    with pytest.raises(ValueError):
-        single_medium_pressure_laplace(1.5, 1.0)
-    with pytest.raises(ValueError):
-        single_medium_pressure_laplace(1.0, -1.0)
-    with pytest.raises(ValueError):
-        single_medium_pressure_laplace(1.0, 1.0, 0.0)
 
 
 # ------------------------------------------------------ dimensionless map
@@ -621,14 +646,14 @@ def test_pressure_scale_example():
     phys = _symmetric_physical(h=10.0, k_m=0.4e-13, k_f=0.35e-13, k_v=0.25e-13,
                                q0=1e-3, b0=1.0, mu=1e-3, p_i=3e7)
     tr = to_dimensionless(phys)
-    p_j = from_dimensionless(1.0, tr, phys)
-    assert p_j == pytest.approx(3e7 - 1.5915e5, rel=1e-4)
+    # p = p_i - p_D / p_scale: a unit dimensionless drawdown is 1.5915e5 Pa.
+    assert 1.0 / tr.p_scale == pytest.approx(1.5915e5, rel=1e-4)
 
 
 def test_from_dimensionless_zero_drawdown():
-    phys = _symmetric_physical()
-    tr = to_dimensionless(phys)
-    assert from_dimensionless(0.0, tr, phys) == phys.p_i
+    # p = p_i - p_D / p_scale is p_i at p_D = 0 for a finite, positive scale.
+    tr = to_dimensionless(_symmetric_physical())
+    assert math.isfinite(tr.p_scale) and tr.p_scale > 0.0
 
 
 def test_dimensionless_round_trip():
@@ -637,7 +662,7 @@ def test_dimensionless_round_trip():
     rng = np.random.RandomState(11)
     for _ in range(20):
         p_d = float(10 ** rng.uniform(-3, 3))
-        back = tr.p_scale * (phys.p_i - from_dimensionless(p_d, tr, phys))
+        back = tr.p_scale * (phys.p_i - (phys.p_i - p_d / tr.p_scale))
         assert back == pytest.approx(p_d, rel=1e-12)
 
 
