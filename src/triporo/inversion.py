@@ -115,7 +115,9 @@ def invert(transform, t: float, scheme: StehfestScheme) -> float:
     Evaluator exceptions and non-finite F(u) raise TransformEvaluationError
     with the offending u attached (the original exception is chained).  So
     does a weighted sum that overflows: it names the u of the first
-    non-finite weighted term, or else of the largest one.
+    non-finite weighted term, or else of the largest one.  An ImportError
+    propagates as it is: scipy is imported at the first evaluation, and a
+    missing scipy is a broken installation, not a value of F.
     """
     t = _check_time(t)
     ratio = _LN2 / t
@@ -126,6 +128,8 @@ def invert(transform, t: float, scheme: StehfestScheme) -> float:
             f = transform(u)
             if not math.isfinite(f):
                 raise ValueError(f"transform value {f!r} is not finite")
+        except ImportError:
+            raise
         except Exception as exc:
             raise TransformEvaluationError(u, t, exc) from exc
         terms.append(w * f)

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+from . import specfun
 from .roots import RootClassificationError, alpha_roots
-from .specfun import bessel_k0_scaled, bessel_k1_scaled
 
 #: det(boundary matrix) below SINGULAR_TOL times the magnitude of its own
 #: six expansion terms means the boundary system cannot be solved.
@@ -296,8 +296,9 @@ def boundary_vectors(alpha, A, B, kappa_m: float, kappa_f: float,
     e0 = kappa_m * A0 + kappa_f * B0 + kappa_v
     e1 = kappa_m * A1 + kappa_f * B1 + kappa_v
     e2 = kappa_m * A2 + kappa_f * B2 + kappa_v
-    k00, k01, k02 = bessel_k0_scaled(a0), bessel_k0_scaled(a1), bessel_k0_scaled(a2)
-    k10, k11, k12 = bessel_k1_scaled(a0), bessel_k1_scaled(a1), bessel_k1_scaled(a2)
+    k0, k1 = specfun.bessel_k0_scaled, specfun.bessel_k1_scaled
+    k00, k01, k02 = k0(a0), k0(a1), k0(a2)
+    k10, k11, k12 = k1(a0), k1(a1), k1(a2)
     return ((a0 * k10 * e0, a1 * k11 * e1, a2 * k12 * e2),
             ((A0 - 1.0) * k00, (A1 - 1.0) * k01, (A2 - 1.0) * k02),
             ((B0 - 1.0) * k00, (B1 - 1.0) * k01, (B2 - 1.0) * k02))
@@ -385,8 +386,8 @@ class LaplaceAssembly(NamedTuple):
         raises ModelError ending in "(u=..., params=...)".
         """
         a0, a1, a2 = self.alpha
-        pm, pf, pv = self._modal_sum(
-            bessel_k0_scaled(a0), bessel_k0_scaled(a1), bessel_k0_scaled(a2))
+        k0 = specfun.bessel_k0_scaled
+        pm, pf, pv = self._modal_sum(k0(a0), k0(a1), k0(a2))
         tol = CONSISTENCY_TOL * abs(pv)
         if not (abs(pm - pv) <= tol and abs(pf - pv) <= tol):
             raise ModelError(
@@ -430,7 +431,7 @@ def field_pressure_laplace(p: TriplePorosityParams, u: float,
     asm = laplace_assembly(p, u)
     # K0(alpha r) = k0e(alpha r) e^{-alpha r}; with D_scaled = D e^{-alpha}
     # the net factor is e^{-alpha (r-1)}, which underflows harmlessly.
-    return asm._modal_sum(*(bessel_k0_scaled(a * r_d) * math.exp(-a * (r_d - 1.0))
+    return asm._modal_sum(*(specfun.bessel_k0_scaled(a * r_d) * math.exp(-a * (r_d - 1.0))
                             for a in asm.alpha))
 
 

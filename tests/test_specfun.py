@@ -4,8 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import k0e, k1e, kve
+from scipy.special import cython_special, k0e, k1e, kve
 
+from triporo import specfun
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
 EULER_GAMMA = 0.5772156649015329
@@ -76,15 +77,22 @@ def test_scaled_ratio_matches_unscaled_ratio():
             float(mp.besselk(0, x) / mp.besselk(1, x)), rel=1e-13)
 
 
-@pytest.mark.parametrize("fn, ufunc", [(bessel_k0_scaled, k0e), (bessel_k1_scaled, k1e)],
+@pytest.mark.parametrize("name, ufunc", [("bessel_k0_scaled", k0e), ("bessel_k1_scaled", k1e)],
                          ids=["bessel_k0_scaled-k0e", "bessel_k1_scaled-k1e"])
-def test_bit_equal_to_the_scipy_ufunc(fn, ufunc):
-    # The names bind scipy's Cython entry point, not the ufunc; both run the
-    # same kernel, so every value is the ufunc's to the bit, as a float.
+def test_bit_equal_to_the_scipy_ufunc(monkeypatch, name, ufunc):
+    # Each name starts as a stand-in whose first call binds scipy's Cython
+    # entry point in its place; the entry point and the ufunc run the same
+    # kernel, so every value, through the stand-in and through the bound
+    # entry point, is the ufunc's to the bit, as a float.
+    kernel = getattr(cython_special, ufunc.__name__)
+    stand_in = specfun._bound_on_first_call(name, ufunc.__name__)
+    monkeypatch.setattr(specfun, name, stand_in)
     grid = np.concatenate((np.logspace(-300, 300, 12001), np.linspace(0.0, 800.0, 80001)[1:]))
-    for x in map(float, grid):
-        y = fn(x)
-        assert type(y) is float and y == float(ufunc(x)) and 0.0 < y < math.inf, x
+    for fn in (stand_in, kernel):
+        for x in map(float, grid):
+            y = fn(x)
+            assert type(y) is float and y == float(ufunc(x)) and 0.0 < y < math.inf, x
+        assert getattr(specfun, name) is kernel
 
 
 def test_k1_derivative_from_both_recurrences():
