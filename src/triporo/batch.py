@@ -1,0 +1,226 @@
+"""The ``laplace`` dump's chain over a whole u grid at once, bit for bit.
+
+``model.laplace_rows`` imports this module at its first call, so that
+``import triporo`` loads neither numpy nor this code.  Each step repeats a
+step of the per-u chain (``model.laplace_assembly`` and
+``LaplaceAssembly.wellbore_pressures``) over arrays, with the same
+floating-point operations in the same order.  numpy does only +, -, *, /,
+sqrt, abs, copysign and comparisons, which round as Python's floats do;
+``**``, acos, cos, exp and log run per element on Python floats, through libm
+as in the chain, because numpy's vectorised versions round differently on
+some inputs.  ``math.fsum`` forms each row's sums and scipy's ufuncs the
+scaled Bessel values.  The chain's Newton loops run under a mask, each
+entry stopping where the scalar loop breaks; where the chain would refuse
+or raise, the batch marks the row for the per-u chain instead.
+"""
+
+import math
+from itertools import repeat
+
+import numpy as np
+
+from . import model, roots, specfun
+
+
+@np.errstate(all="ignore")  # no numpy warning reaches a user
+def laplace_table(p, us) -> tuple[list[list[float]], list[int]]:
+    """The dump's rows for the u values ``us``, and the indices of the rows
+    that the per-u chain must recompute: those it refuses (with the
+    tolerances of ``model`` and ``roots`` at the call), on which it raises,
+    or that hold a non-finite value."""
+    u = np.array(us, dtype=float)
+    bad = ~((u > 0.0) & (u < math.inf))
+    lmf, lmv, lfv = p.lambda_mf, p.lambda_mv, p.lambda_fv
+    kf, kv = p.kappa_f, p.kappa_v
+    km = 1.0 - kf - kv
+    # m_terms and characteristic_coefficients.
+    m1 = _each(pow, u, p.beta_m) * (1.0 - p.omega_f - p.omega_v) + lmf + lmv
+    m4 = _each(pow, u, p.beta_f) * p.omega_f + lmf + lfv
+    m6 = _each(pow, u, p.beta_v) * p.omega_v + lmv + lfv
+    c3, c2, c1, c0 = model.characteristic_coefficients((m1, lmf, lmv, m4, lfv, m6), km, kf, kv)
+
+    # roots.solve_cubic_real: the closed-form seed x1.  A nan from _each is
+    # a power that raised, and a non-finite disc covers every non-finite
+    # b, p or q.
+    if not (math.isfinite(c3) and abs(c3) > 1e-300):
+        bad[:] = True
+    b = c2 / c3
+    pc = c1 / c3 - b * b / 3.0
+    q = c0 / c3 - b * (c1 / c3) / 3.0 + 2.0 * _each(pow, b, 3) / 27.0
+    disc = _each(pow, q / 2.0, 2) + _each(pow, pc / 3.0, 3)
+    bad |= ~(np.isfinite(c2) & np.isfinite(c1) & np.isfinite(c0) & np.isfinite(disc))
+    shift = -b / 3.0
+    x1 = shift.copy()
+    trig = disc <= 0.0
+    m = np.sqrt(_first_max(-pc / 3.0, 0.0))
+    den = 2.0 * pc * m
+    arg = _first_max(-1.0, 3.0 * q / den)
+    arg = np.where(arg < 1.0, arg, 1.0)
+    i = np.flatnonzero(trig & (m != 0.0))
+    bad[i] |= den[i] == 0.0
+    theta, two_m, s = _each(math.acos, arg[i]) / 3.0, 2.0 * m[i], shift[i]
+    x1[i] = two_m * _each(math.cos, theta) + s
+    for k in (1, 2):
+        xk = two_m * _each(math.cos, theta - 2.0 * math.pi * k / 3.0) + s
+        x1[i] = np.where(abs(xk) > abs(x1[i]), xk, x1[i])
+    i = np.flatnonzero(~trig)
+    w, s = np.sqrt(disc[i]), -q[i] / 2.0
+    z = np.where(s >= 0.0, s + w, s - w)
+    cu = np.copysign(_each(pow, abs(z), 1.0 / 3.0), z)
+    bad[i] |= 3.0 * cu == 0.0
+    x1[i] = cu + -pc[i] / (3.0 * cu) + shift[i]
+    x1 = _polish_rows((c3, c2, c1, c0), x1)
+
+    # Deflation and the sorted roots; x1 = 0 and qq = 0 leave a zero root
+    # or divide by zero.
+    bad |= x1 == 0.0
+    q0 = -c0 / x1
+    q1 = np.where(x1 * x1 * abs(c3) >= abs(q0), (q0 - c1) / x1, c2 + c3 * x1)
+    disc2 = q1 * q1 - 4.0 * c3 * q0
+    bad |= ~(disc2 >= 0.0)
+    sq = np.sqrt(disc2)
+    qq = np.where(q1 != 0.0, -0.5 * (q1 + np.copysign(sq, q1)), -0.5 * sq)
+    bad |= qq == 0.0
+    col = (c3, c2[:, None], c1[:, None], c0[:, None])
+    pair = _polish_rows(col, np.column_stack((qq / c3, q0 / qq)))
+    x = np.sort(np.column_stack((x1, pair)), axis=1)
+
+    # alpha_roots' checks, its residual bound's slow form on the roots that
+    # miss the fast one.
+    x0, x1, x2 = x.T
+    bad |= ~((x0 > 0.0) & (x1 > 0.0) & (x2 > 0.0))
+    bad |= ~((x1 - x0 > roots.REPEAT_TOL * x1) & (x2 - x1 > roots.REPEAT_TOL * x2))
+    res = abs(((c3 * x + col[1]) * x + col[2]) * x + col[3])
+    r, j = np.nonzero(~(res <= roots.RESIDUAL_TOL * abs(col[3])) & ~bad[:, None])
+    xs = x[r, j]
+    scale = _first_max(abs(c3 * _each(pow, xs, 3)), abs(c2[r] * _each(pow, xs, 2)),
+                       abs(c1[r] * xs), abs(c0[r]))
+    bad[r[~(res[r, j] <= roots.RESIDUAL_TOL * scale)]] = True
+
+    # _refine_root from each alpha squared, then _modal_from_x.
+    mcol = (m1[:, None], lmf, lmv, m4[:, None], lfv, m6[:, None])
+    a = np.sqrt(x)
+    x = _refine_rows(a * a, mcol, km, kf, kv)
+    alpha = np.sqrt(x)
+    A, B, refused = _modal_rows(x, mcol, km, kf, kv)
+    bad |= refused.any(axis=1)
+
+    # boundary_vectors, solve_boundary and wellbore_pressures.
+    k0e, k1e = specfun.scaled_ufuncs()
+    alpha_ok = np.where(bad[:, None], 1.0, alpha)
+    k0, k1 = k0e(alpha_ok), k1e(alpha_ok)
+    (p0, p1, p2), (q0, q1, q2) = (alpha_ok * k1 * (km * A + kf * B + kv)).T, ((A - 1.0) * k0).T
+    r0, r1, r2 = ((B - 1.0) * k0).T
+    t = np.column_stack((q0 * r1 * p2, -q0 * p1 * r2, -r0 * q1 * p2,
+                         -r1 * p0 * q2, p1 * r0 * q2, p0 * q1 * r2))
+    bad |= ~np.isfinite(t).all(axis=1)
+    det = _each(math.fsum, t)
+    bad |= ~(abs(det) > model.SINGULAR_TOL * abs(t).max(axis=1))
+    ud = u * det
+    bad |= ud == 0.0
+    D = np.column_stack(((q1 * r2 - q2 * r1) / ud, (q2 * r0 - q0 * r2) / ud,
+                         (q0 * r1 - q1 * r0) / ud))
+    pv = _each(math.fsum, D * k0)
+    pm, pf = _each(math.fsum, A * D * k0), _each(math.fsum, B * D * k0)
+    tol = model.CONSISTENCY_TOL * abs(pv)
+    bad |= ~((abs(pm - pv) <= tol) & (abs(pf - pv) <= tol))
+
+    # _unscale_weight: exp per element up to alpha = 700, the log path above.
+    exp = _each(math.exp, np.where(alpha <= 700.0, alpha, 0.0).ravel()).reshape(D.shape)
+    unscaled = np.where(D == 0.0, 0.0, D * exp)
+    for r, j in zip(*np.nonzero(~(alpha <= 700.0))):
+        unscaled[r, j] = model._unscale_weight(D[r, j].item(), alpha[r, j].item())
+    # Only the unscaled D may overflow, as the chain's does past alpha ~ 709.
+    bad |= ~np.isfinite(np.column_stack((m1, m4, m6, alpha, A, B, D, pv))).all(axis=1)
+    n = len(u)
+    table = np.column_stack((u, m1, np.full(n, lmf), np.full(n, lmv), m4, np.full(n, lfv), m6,
+                             alpha, A, B, unscaled, pv))
+    return table.tolist(), np.flatnonzero(bad).tolist()
+
+
+def _each(fn, xs, *args):
+    """fn(x, *args) for each x of the array xs as a Python float (each row
+    as a list when xs is 2-D), as the per-u chain calls it; nan where it raises."""
+    xs = xs.tolist()
+    try:
+        return np.fromiter(map(fn, xs, *(repeat(a) for a in args)), float, len(xs))
+    except (ArithmeticError, ValueError):
+        return np.array([_or_nan(fn, x, *args) for x in xs])
+
+
+def _or_nan(fn, *args):
+    """fn(*args), or nan where it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
+def _first_max(first, *rest):
+    """Elementwise ``max(first, *rest)`` as Python's max picks: a later value
+    replaces the current one only when greater, so a nan after the first is skipped."""
+    for v in rest:
+        first = np.where(v > first, v, first)
+    return first
+
+
+def _polish_rows(c, x):
+    """``roots._polish`` on every entry of x; an entry stops where the scalar loop breaks."""
+    c3, c2, c1, c0 = c
+    d2, d1 = 3.0 * c3, 2.0 * c2
+    f = ((c3 * x + c2) * x + c1) * x + c0
+    go = np.ones(x.shape, dtype=bool)
+    for _ in range(12):
+        fp = (d2 * x + d1) * x + c1
+        xn = x - f / fp
+        fn = ((c3 * xn + c2) * xn + c1) * xn + c0
+        go &= (fp != 0.0) & np.isfinite(xn) & (abs(fn) < abs(f))
+        if not go.any():
+            break
+        x, f = np.where(go, xn, x), np.where(go, fn, f)
+    return x
+
+
+def _refine_rows(x, m, kappa_m: float, kappa_f: float, kappa_v: float):
+    """``_refine_root`` on every entry of x; an entry stops where the scalar loop breaks."""
+    m1, m2, m3, m4, m5, m6 = m
+    go = np.ones(x.shape, dtype=bool)
+    for _ in range(3):
+        d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
+        a00 = d1 * d2 - m5 * m5
+        f = d0 * a00 + m2 * (m3 * m5 - m2 * d2) + m3 * (m2 * m5 - m3 * d1)
+        fp = kappa_m * a00 + kappa_f * (d0 * d2 - m3 * m3) + kappa_v * (d0 * d1 - m2 * m2)
+        xn = x - f / fp
+        go &= (fp != 0.0) & (xn > 0.0) & np.isfinite(xn)
+        converged = abs(xn - x) <= 4e-16 * abs(x)
+        x = np.where(go, xn, x)
+        go &= ~converged
+        if not go.any():
+            break
+    return x
+
+
+def _modal_rows(x, m, kappa_m: float, kappa_f: float, kappa_v: float):
+    """``_modal_from_x`` on every entry of x: (A, B) and where it refuses."""
+    m1, m2, m3, m4, m5, m6 = m
+    m22, m33, m55 = m2 * m2, m3 * m3, m5 * m5
+    d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
+    a00, a11, a22 = d1 * d2 - m55, d0 * d2 - m33, d0 * d1 - m22
+    a01, a02, a12 = m3 * m5 - m2 * d2, m2 * m5 - m3 * d1, m2 * m3 - d0 * m5
+    n0 = np.sqrt(d0 * d0 + m22 + m33)
+    n1 = np.sqrt(m22 + d1 * d1 + m55)
+    n2 = np.sqrt(m33 + m55 + d2 * d2)
+    scale = _first_max(n0 * n1, n0 * n2, n1 * n2)
+    b00, b11, b22 = abs(a00), abs(a11), abs(a22)
+    b01, b02, b12 = abs(a01), abs(a02), abs(a12)
+    mag, mag1 = _first_max(b02, b12, b22), _first_max(b01, b11, b12)
+    mag0 = _first_max(b00, b01, b02)
+    n = (a02, a12, a22)
+    for col, mag_col in (((a01, a11, a12), mag1), ((a00, a01, a02), mag0)):
+        pick = mag_col > mag
+        n = tuple(np.where(pick, c, v) for c, v in zip(col, n))
+        mag = np.where(pick, mag_col, mag)
+    a, b = n[0] / n[2], n[1] / n[2]
+    refused = ((mag <= model.RANK_TOL * scale) | (n[2] == 0.0)
+               | ~(np.isfinite(a) & np.isfinite(b)))
+    return a, b, refused

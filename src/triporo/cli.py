@@ -25,7 +25,7 @@ from .curves import (CURVE_FORMATS, log_time_grid, pressure_curve, write_csv,
                      write_curve)
 from .inversion import StehfestScheme, TransformEvaluationError
 from .model import (DimensionlessTransform, ModelError, PhysicalParams,
-                    TriplePorosityParams, laplace_assembly, to_dimensionless)
+                    TriplePorosityParams, laplace_rows, to_dimensionless)
 
 EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_IO = 0, 1, 2, 3
 
@@ -278,13 +278,8 @@ def cmd_laplace(args) -> int:
     if cfg.get("output", "format", fallback="csv") != "csv":
         raise ConfigError("laplace command writes csv only")
     out = Path(args.out or "laplace.csv")
-    rows = []
     t0 = time.perf_counter()
-    for u in us:
-        asm = laplace_assembly(params, u)
-        _, _, pw = asm.wellbore_pressures()
-        rows.append((u, *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D, pw))
-    write_csv(LAPLACE_HEADER, rows, out)
+    write_csv(LAPLACE_HEADER, laplace_rows(params, us), out)
     _say(args, f"laplace: wrote {out} ({len(us)} rows, {time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 

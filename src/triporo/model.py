@@ -16,6 +16,9 @@ Everything is assembled in scaled-Bessel space: row i of the boundary
 system carries an implicit factor e^{-alpha_i} which cancels against the
 matching factor in D_i, so the wellbore pressure stays representable for
 arbitrarily large alpha (small times in the Stehfest inversion).
+
+``laplace_assembly`` solves one u; ``laplace_rows`` runs the same chain over
+a whole u grid at once, bit for bit, for the ``laplace`` dump.
 """
 
 import math
@@ -417,6 +420,27 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     except (RootClassificationError, ModelError) as exc:
         raise ModelError(f"{exc}{_context(u, p)}") from exc
     return LaplaceAssembly(p, u, m, alpha, A, B, D)
+
+
+def laplace_rows(p: TriplePorosityParams, us) -> list[list[float]]:
+    """The ``laplace`` dump's rows for the whole u grid, in one batch.
+
+    Row j is (u, m1..m6, alpha1..3, A1..3, B1..3, D1..3, p_bar_w) of
+    ``laplace_assembly(p, us[j])`` and its ``wellbore_pressures()``, bit for
+    bit: ``batch.laplace_table`` does the chain's operations over all rows at
+    once.  A row that the chain refuses, on which it raises or that holds a
+    non-finite value is recomputed here by the per-u chain, in u order, so an
+    error is the one the per-u loop raises first.
+    """
+    from . import batch
+
+    us = list(us)
+    rows, recompute = batch.laplace_table(p, us)
+    for j in recompute:
+        asm = laplace_assembly(p, us[j])
+        rows[j] = [us[j], *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D,
+                   asm.wellbore_pressures()[2]]
+    return rows
 
 
 def wellbore_pressure_laplace(p: TriplePorosityParams, u: float) -> float:

@@ -18,7 +18,8 @@ between, because nine calls per Laplace evaluation make one costly.  A
 stand-in whose name was rebound meanwhile (a caller's wrapper, say) leaves
 the name alone and passes its calls on to the kernel.  Callers look the
 names up here at call time (``specfun.bessel_k0_scaled``), so none keeps a
-stand-in.
+stand-in.  ``scaled_ufuncs`` imports the ufuncs, for the batch of
+``model.laplace_rows``, at its call too.
 
 The chain needs no domain check: ``alpha_roots`` refuses non-positive
 roots, a refined root is accepted only if positive and finite, and the
@@ -49,3 +50,9 @@ def _bound_on_first_call(name: str, kernel_name: str):
 
 bessel_k0_scaled = _bound_on_first_call("bessel_k0_scaled", "k0e")
 bessel_k1_scaled = _bound_on_first_call("bessel_k1_scaled", "k1e")
+
+
+def scaled_ufuncs():
+    """scipy's ``k0e`` and ``k1e`` ufuncs: the same kernels over arrays."""
+    from scipy.special import k0e, k1e
+    return k0e, k1e

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from triporo import CurvePoint, TriplePorosityParams
+from triporo import CurvePoint, TriplePorosityParams, laplace_assembly
 
 # Carbonate-style reference set used throughout: fracture-dominated flow,
 # vug-dominated storage, weak interporosity coupling.
@@ -38,6 +38,25 @@ def cubic_residual(c, x: float) -> tuple[float, float]:
     c3, c2, c1, c0 = c
     return (((c3 * x + c2) * x + c1) * x + c0,
             max(abs(c3 * x**3), abs(c2 * x**2), abs(c1 * x), abs(c0)))
+
+
+def laplace_dump_rows(p, us) -> list[list[float]]:
+    """The ``laplace`` dump's rows from the per-u chain, one u at a time.
+
+    ``model.laplace_rows`` must give these bit for bit, or raise the first
+    error they raise.
+    """
+    rows = []
+    for u in us:
+        asm = laplace_assembly(p, u)
+        rows.append([u, *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D,
+                     asm.wellbore_pressures()[2]])
+    return rows
+
+
+def hex_rows(rows) -> list[list[str]]:
+    """Each value of each row as ``float.hex``, so that rows compare bit for bit."""
+    return [[float.hex(float(v)) for v in row] for row in rows]
 
 
 def read_curve_csv(path) -> list[CurvePoint]:

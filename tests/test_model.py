@@ -14,13 +14,14 @@ from triporo.inversion import StehfestScheme
 from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
                            _modal_from_x, _unscale_weight,
                            boundary_vectors, characteristic_coefficients,
-                           field_pressure_laplace, laplace_assembly, m_terms,
-                           solve_boundary, to_dimensionless,
+                           field_pressure_laplace, laplace_assembly, laplace_rows,
+                           m_terms, solve_boundary, to_dimensionless,
                            wellbore_pressure_laplace)
 from triporo.roots import RootClassificationError, solve_cubic_real
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
-from conftest import COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS
+from conftest import (COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS, hex_rows,
+                      laplace_dump_rows)
 
 # The README set with every coupling exactly zero.
 UNCOUPLED = TriplePorosityParams(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0))
@@ -807,3 +808,16 @@ def test_laplace_chain_bits_are_pinned(ref_kwargs):
     pts = pressure_curve(PIN_SCAN_PARAMS, log_time_grid(1e-1, 1e5, 5),
                          StehfestScheme.of_order(12))
     assert [pt.p_w for pt in pts] == [float.fromhex(h) for h in PINNED_CURVE]
+
+
+@pytest.mark.parametrize("betas", [(1.0, 1.0, 1.0), (0.9, 0.8, 0.7), (0.77, 0.56, 0.6)])
+def test_laplace_rows_equal_the_per_u_chain_bit_for_bit(ref_kwargs, betas, monkeypatch):
+    # The benchmark's laplace_scan grid, 1e-10..1e6 at 62 per decade, which
+    # reaches alpha > 700 and the alpha_roots residual bound's slow form.  No
+    # row there is sent back to the per-u chain.
+    p = TriplePorosityParams(**ref_kwargs).with_betas(*betas)
+    us = log_time_grid(1e-10, 1e6, 62)
+    expected = hex_rows(laplace_dump_rows(p, us))
+    monkeypatch.setattr("triporo.model.laplace_assembly",
+                        lambda p, u: pytest.fail(f"row u={u!r} went back to the per-u chain"))
+    assert hex_rows(laplace_rows(p, us)) == expected

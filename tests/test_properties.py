@@ -8,13 +8,15 @@ gives a finite, non-negative p_bar_w or a named model error that carries u.
 
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from triporo import (ModelError, StehfestScheme, TriplePorosityParams,
                      laplace_assembly, log_time_grid, pressure_curve)
+from triporo.model import laplace_rows
 
-from conftest import LATE_TIME_DEFECT, REF_KWARGS
+from conftest import LATE_TIME_DEFECT, REF_KWARGS, hex_rows, laplace_dump_rows
 
 log_unit = st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)
 zero_or_log_unit = st.one_of(st.just(0.0), log_unit)
@@ -43,6 +45,29 @@ def test_wellbore_pressure_is_finite_or_a_named_error_with_u(u, **kwargs):
     else:
         # p_bar_w underflows to 0.0 beyond u ~ 1e280.
         assert math.isfinite(pw) and pw >= 0.0
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(omega_f=zero_or_log_unit, omega_v=zero_or_log_unit,
+       kappa_f=log_unit, kappa_v=log_unit,
+       lambda_mf=zero_or_log_unit, lambda_mv=zero_or_log_unit,
+       lambda_fv=zero_or_log_unit,
+       beta_m=beta, beta_f=beta, beta_v=beta,
+       us=st.lists(st.floats(-10.0, 6.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6))
+@example(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0),
+         beta_m=1.0, beta_f=1.0, beta_v=1.0, us=[0.1, 1.0])
+def test_laplace_rows_equal_the_per_u_rows_or_raise_their_error(us, **kwargs):
+    assume(kwargs["omega_f"] + kwargs["omega_v"] <= 1.0)
+    assume(kwargs["kappa_f"] + kwargs["kappa_v"] < 1.0)
+    p = TriplePorosityParams(**kwargs)
+    try:
+        expected = laplace_dump_rows(p, us)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            laplace_rows(p, us)
+        assert str(got.value) == str(exc)
+    else:
+        assert hex_rows(laplace_rows(p, us)) == hex_rows(expected)
 
 
 # Late times (ROADMAP item 10).  Both pinned examples fail today, so the
