@@ -1,6 +1,6 @@
 """The ``laplace`` dump's chain over a whole u grid at once, bit for bit.
 
-``model.laplace_rows`` imports this module at its first call, so that
+``model.laplace_columns`` imports this module at its first call, so that
 ``import triporo`` loads neither numpy nor this code.  Each step repeats a
 step of the per-u chain (``model.laplace_assembly`` and
 ``LaplaceAssembly.wellbore_pressures``) over arrays, with the same
@@ -23,20 +23,22 @@ from . import model, roots, specfun
 
 
 @np.errstate(all="ignore")  # no numpy warning reaches a user
-def laplace_table(p, us) -> tuple[list[list[float]], list[int]]:
-    """The dump's rows for the u values ``us``, and the indices of the rows
-    that the per-u chain must recompute: those it refuses (with the
-    tolerances of ``model`` and ``roots`` at the call), on which it raises,
-    or that hold a non-finite value."""
+def laplace_table(p, us) -> tuple[list, list[int]]:
+    """The dump's 20 columns for the u values ``us`` (lists of floats, and one
+    float for each coupling m2, m3 and m5), and the indices of the rows that
+    the per-u chain must recompute: those it refuses (with the tolerances of
+    ``model`` and ``roots`` at the call), on which it raises, or that hold a
+    non-finite value."""
     u = np.array(us, dtype=float)
     bad = ~((u > 0.0) & (u < math.inf))
+    ul = np.where(bad, 1.0, u).tolist()  # a negative u**beta would be complex
     lmf, lmv, lfv = p.lambda_mf, p.lambda_mv, p.lambda_fv
     kf, kv = p.kappa_f, p.kappa_v
     km = 1.0 - kf - kv
     # m_terms and characteristic_coefficients.
-    m1 = _each(pow, u, p.beta_m) * (1.0 - p.omega_f - p.omega_v) + lmf + lmv
-    m4 = _each(pow, u, p.beta_f) * p.omega_f + lmf + lfv
-    m6 = _each(pow, u, p.beta_v) * p.omega_v + lmv + lfv
+    m1 = _each(pow, ul, p.beta_m) * (1.0 - p.omega_f - p.omega_v) + lmf + lmv
+    m4 = _each(pow, ul, p.beta_f) * p.omega_f + lmf + lfv
+    m6 = _each(pow, ul, p.beta_v) * p.omega_v + lmv + lfv
     c3, c2, c1, c0 = model.characteristic_coefficients((m1, lmf, lmv, m4, lfv, m6), km, kf, kv)
 
     # roots.solve_cubic_real: the closed-form seed x1.  A nan from _each is
@@ -132,16 +134,15 @@ def laplace_table(p, us) -> tuple[list[list[float]], list[int]]:
         unscaled[r, j] = model._unscale_weight(D[r, j].item(), alpha[r, j].item())
     # Only the unscaled D may overflow, as the chain's does past alpha ~ 709.
     bad |= ~np.isfinite(np.column_stack((m1, m4, m6, alpha, A, B, D, pv))).all(axis=1)
-    n = len(u)
-    table = np.column_stack((u, m1, np.full(n, lmf), np.full(n, lmv), m4, np.full(n, lfv), m6,
-                             alpha, A, B, unscaled, pv))
-    return table.tolist(), np.flatnonzero(bad).tolist()
+    columns = [ul, m1.tolist(), float(lmf), float(lmv), m4.tolist(), float(lfv), m6.tolist(),
+               *alpha.T.tolist(), *A.T.tolist(), *B.T.tolist(), *unscaled.T.tolist(), pv.tolist()]
+    return columns, np.flatnonzero(bad).tolist()
 
 
 def _each(fn, xs, *args):
-    """fn(x, *args) for each x of the array xs as a Python float (each row
-    as a list when xs is 2-D), as the per-u chain calls it; nan where it raises."""
-    xs = xs.tolist()
+    """fn(x, *args) for each x of xs, a list of Python floats or an array (each
+    row as a list when it is 2-D), as the per-u chain calls it; nan where it raises."""
+    xs = xs.tolist() if isinstance(xs, np.ndarray) else xs
     try:
         return np.fromiter(map(fn, xs, *(repeat(a) for a in args)), float, len(xs))
     except (ArithmeticError, ValueError):

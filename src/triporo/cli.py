@@ -25,7 +25,7 @@ from .curves import (CURVE_FORMATS, log_time_grid, pressure_curve, write_csv,
                      write_curve)
 from .inversion import StehfestScheme, TransformEvaluationError
 from .model import (DimensionlessTransform, ModelError, PhysicalParams,
-                    TriplePorosityParams, laplace_rows, to_dimensionless)
+                    TriplePorosityParams, laplace_columns, to_dimensionless)
 
 EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_IO = 0, 1, 2, 3
 
@@ -279,7 +279,10 @@ def cmd_laplace(args) -> int:
         raise ConfigError("laplace command writes csv only")
     out = Path(args.out or "laplace.csv")
     t0 = time.perf_counter()
-    write_csv(LAPLACE_HEADER, laplace_rows(params, us), out)
+    # A coupling column is one float, so its text is formed once.
+    write_csv(LAPLACE_HEADER, [[repr(c)] * len(us) if isinstance(c, float)
+                               else map(float.__repr__, c)
+                               for c in laplace_columns(params, us)], out)
     _say(args, f"laplace: wrote {out} ({len(us)} rows, {time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 

@@ -17,8 +17,8 @@ system carries an implicit factor e^{-alpha_i} which cancels against the
 matching factor in D_i, so the wellbore pressure stays representable for
 arbitrarily large alpha (small times in the Stehfest inversion).
 
-``laplace_assembly`` solves one u; ``laplace_rows`` runs the same chain over
-a whole u grid at once, bit for bit, for the ``laplace`` dump.
+``laplace_assembly`` solves one u; ``laplace_columns`` runs the same chain
+over a whole u grid at once, bit for bit, for the ``laplace`` dump.
 """
 
 import math
@@ -422,25 +422,29 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     return LaplaceAssembly(p, u, m, alpha, A, B, D)
 
 
-def laplace_rows(p: TriplePorosityParams, us) -> list[list[float]]:
-    """The ``laplace`` dump's rows for the whole u grid, in one batch.
+def laplace_columns(p: TriplePorosityParams, us) -> list:
+    """The ``laplace`` dump's columns u, m1..m6, alpha1..3, A1..3, B1..3,
+    D1..3 and p_bar_w for the whole u grid, in one batch.
 
-    Row j is (u, m1..m6, alpha1..3, A1..3, B1..3, D1..3, p_bar_w) of
-    ``laplace_assembly(p, us[j])`` and its ``wellbore_pressures()``, bit for
-    bit: ``batch.laplace_table`` does the chain's operations over all rows at
-    once.  A row that the chain refuses, on which it raises or that holds a
-    non-finite value is recomputed here by the per-u chain, in u order, so an
-    error is the one the per-u loop raises first.
+    Row j is that of ``laplace_assembly(p, us[j])`` and its
+    ``wellbore_pressures()``, bit for bit: ``batch.laplace_table`` does the
+    chain's operations over all rows at once.  The couplings m2, m3 and m5
+    are one float each; every other column is a list.  A row that the chain
+    refuses, on which it raises or that holds a non-finite value is
+    recomputed here by the per-u chain, in u order, so an error is the one
+    the per-u loop raises first.
     """
     from . import batch
 
     us = list(us)
-    rows, recompute = batch.laplace_table(p, us)
+    columns, recompute = batch.laplace_table(p, us)
     for j in recompute:
         asm = laplace_assembly(p, us[j])
-        rows[j] = [us[j], *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D,
-                   asm.wellbore_pressures()[2]]
-    return rows
+        row = (asm.u, *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D, asm.wellbore_pressures()[2])
+        for column, v in zip(columns, row):
+            if isinstance(column, list):
+                column[j] = v
+    return columns
 
 
 def wellbore_pressure_laplace(p: TriplePorosityParams, u: float) -> float:

@@ -19,7 +19,7 @@ stand-in whose name was rebound meanwhile (a caller's wrapper, say) leaves
 the name alone and passes its calls on to the kernel.  Callers look the
 names up here at call time (``specfun.bessel_k0_scaled``), so none keeps a
 stand-in.  ``scaled_ufuncs`` imports the ufuncs, for the batch of
-``model.laplace_rows``, at its call too.
+``model.laplace_columns``, at its call too.
 
 The chain needs no domain check: ``alpha_roots`` refuses non-positive
 roots, a refined root is accepted only if positive and finite, and the

@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from triporo import CurvePoint, TriplePorosityParams, laplace_assembly
+from triporo.cli import LAPLACE_HEADER, main
 
 # Carbonate-style reference set used throughout: fracture-dominated flow,
 # vug-dominated storage, weak interporosity coupling.
@@ -43,7 +44,7 @@ def cubic_residual(c, x: float) -> tuple[float, float]:
 def laplace_dump_rows(p, us) -> list[list[float]]:
     """The ``laplace`` dump's rows from the per-u chain, one u at a time.
 
-    ``model.laplace_rows`` must give these bit for bit, or raise the first
+    ``model.laplace_columns`` must give these bit for bit, or raise the first
     error they raise.
     """
     rows = []
@@ -57,6 +58,29 @@ def laplace_dump_rows(p, us) -> list[list[float]]:
 def hex_rows(rows) -> list[list[str]]:
     """Each value of each row as ``float.hex``, so that rows compare bit for bit."""
     return [[float.hex(float(v)) for v in row] for row in rows]
+
+
+def column_rows(columns) -> list[list[float]]:
+    """The rows of ``model.laplace_columns``; a coupling's one float fills its column."""
+    n = len(columns[0])
+    return [list(row) for row in zip(*(c if isinstance(c, list) else [c] * n for c in columns))]
+
+
+def laplace_dump_text(rows) -> str:
+    """The ``laplace`` dump of these rows: the header, then each value as
+    ``repr(float(v))``, one line per row."""
+    lines = [LAPLACE_HEADER, *(",".join(repr(float(v)) for v in row) for row in rows)]
+    return "".join(line + "\n" for line in lines)
+
+
+def run_laplace(directory, p, laplace: dict) -> tuple[int, str]:
+    """``triporo laplace`` on the parameters p with the ``[laplace]`` keys
+    given, run in directory: its exit code and the text it wrote."""
+    cfg, out = directory / "dump.ini", directory / "dump.csv"
+    cfg.write_text(ini("model", vars(p)) + ini("laplace", laplace), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    rc = main(["laplace", "--config", str(cfg), "--out", str(out), "--quiet"])
+    return rc, out.read_text(encoding="utf-8") if out.exists() else ""
 
 
 def read_curve_csv(path) -> list[CurvePoint]:

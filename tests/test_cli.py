@@ -8,10 +8,11 @@ import mpmath as mp
 import pytest
 
 from triporo.cli import LAPLACE_HEADER, main
-from triporo.curves import CSV_HEADER
-from triporo.model import laplace_assembly
+from triporo.curves import CSV_HEADER, log_time_grid
+from triporo.model import TriplePorosityParams, laplace_assembly
 
-from conftest import PHYSICAL_KWARGS, REF_KWARGS, SYMMETRIC_KWARGS, ini
+from conftest import (PHYSICAL_KWARGS, REF_KWARGS, SYMMETRIC_KWARGS, ini, laplace_dump_rows,
+                      laplace_dump_text, run_laplace)
 
 MODEL_BLOCK = ini("model", REF_KWARGS)
 PHYSICAL_BLOCK = ini("physical", PHYSICAL_KWARGS)
@@ -291,6 +292,23 @@ def test_laplace_single_u(tmp_path, ref_params):
     # Q . D and R . D vanish
     qd = sum((A[i] - 1.0) * k0[i] * D[i] for i in range(3))
     assert abs(qd) <= 1e-9 * sum(abs((A[i] - 1.0) * k0[i] * D[i]) for i in range(3))
+
+
+@pytest.mark.parametrize("betas, lambda_mv, grid", [
+    # The benchmark's laplace_scan grid; its D columns hold 127, 8 and 0 inf fields.
+    ((1.0, 1.0, 1.0), 1e-8, (1e-10, 1e6, 62)),
+    ((0.9, 0.8, 0.7), 1e-8, (1e-10, 1e6, 62)),
+    ((0.77, 0.56, 0.6), 1e-8, (1e-10, 1e6, 62)),
+    # The parameters accept a coupling of -0.0, and its column keeps the sign.
+    ((0.9, 0.8, 0.7), -0.0, (1e-6, 1e3, 62)),
+])
+def test_laplace_dump_is_the_per_u_rows_in_round_trip_text(tmp_path, betas, lambda_mv, grid):
+    p = TriplePorosityParams(**dict(REF_KWARGS, lambda_mv=lambda_mv)).with_betas(*betas)
+    u_min, u_max, ppd = grid
+    rc, text = run_laplace(tmp_path, p, {"u_min": u_min, "u_max": u_max,
+                                         "points_per_decade": ppd})
+    assert rc == 0
+    assert text == laplace_dump_text(laplace_dump_rows(p, log_time_grid(*grid)))
 
 
 def test_laplace_rejects_nonpositive_u(tmp_path, capsys):

@@ -9,18 +9,19 @@ import pytest
 
 import oracle
 
+from triporo import batch
 from triporo.curves import log_time_grid, pressure_curve
-from triporo.inversion import StehfestScheme
+from triporo.inversion import StehfestScheme, TransformEvaluationError
 from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
                            _modal_from_x, _unscale_weight,
                            boundary_vectors, characteristic_coefficients,
-                           field_pressure_laplace, laplace_assembly, laplace_rows,
+                           field_pressure_laplace, laplace_assembly, laplace_columns,
                            m_terms, solve_boundary, to_dimensionless,
                            wellbore_pressure_laplace)
 from triporo.roots import RootClassificationError, solve_cubic_real
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
-from conftest import (COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS, hex_rows,
+from conftest import (COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS, column_rows, hex_rows,
                       laplace_dump_rows)
 
 # The README set with every coupling exactly zero.
@@ -373,6 +374,28 @@ def test_identical_media_match_single_medium(lam, order):
         with mp.workdps(20):
             expected = float(oracle.single_medium(order, float(u)))
         assert got == pytest.approx(expected, rel=1e-12, abs=0), u
+
+
+def _equal_media_refused(where):
+    return pytest.mark.xfail(
+        strict=True, raises=(TransformEvaluationError, AssertionError),
+        reason=f"known defect (ROADMAP finding 8): the curve fails with {where}")
+
+
+@pytest.mark.parametrize("lam, t_min", [
+    pytest.param(1e-6, 1e-2, marks=_equal_media_refused("nearly repeated roots at u = 485.2")),
+    pytest.param(1e-3, 1e-8, marks=_equal_media_refused("a complex pair at u = 6.9e7")),
+    (1e-3, 1e-4),
+])
+def test_two_equal_media_give_a_finite_non_decreasing_curve(lam, t_min):
+    # Fracture and vugs share omega/kappa, so only lambda splits their mode,
+    # and less so relative to the eigenvalues as u grows (early times).
+    p = TriplePorosityParams(omega_f=0.1, omega_v=0.1, kappa_f=0.3, kappa_v=0.3,
+                             lambda_mf=lam, lambda_mv=lam, lambda_fv=lam)
+    pw = [pt.p_w for pt in pressure_curve(p, log_time_grid(t_min, 1e8, 10),
+                                          StehfestScheme.of_order(12))]
+    assert all(math.isfinite(v) for v in pw)
+    assert all(b >= a for a, b in zip(pw, pw[1:]))
 
 
 @pytest.mark.parametrize("betas", [(0.9, 0.8, 0.7), (0.77, 0.56, 0.6), (1.0, 1.0, 1.0)])
@@ -820,4 +843,30 @@ def test_laplace_rows_equal_the_per_u_chain_bit_for_bit(ref_kwargs, betas, monke
     expected = hex_rows(laplace_dump_rows(p, us))
     monkeypatch.setattr("triporo.model.laplace_assembly",
                         lambda p, u: pytest.fail(f"row u={u!r} went back to the per-u chain"))
-    assert hex_rows(laplace_rows(p, us)) == expected
+    assert hex_rows(column_rows(laplace_columns(p, us))) == expected
+
+
+def test_laplace_rows_sent_back_come_from_the_per_u_chain(ref_params, monkeypatch):
+    # Every row sent back, its batch values spoiled, comes from the chain.
+    p = ref_params.with_betas(0.9, 0.8, 0.7)
+    us = log_time_grid(1e-10, 1e6, 2)
+    laplace_table = batch.laplace_table
+
+    def spoiled(p, us):
+        columns, _ = laplace_table(p, us)
+        return ([[math.nan] * len(c) if isinstance(c, list) else c for c in columns],
+                list(range(len(us))))
+
+    monkeypatch.setattr(batch, "laplace_table", spoiled)
+    assert hex_rows(column_rows(laplace_columns(p, us))) == hex_rows(laplace_dump_rows(p, us))
+
+
+@pytest.mark.parametrize("u", [-1.0, 0.0, math.nan, math.inf])
+def test_laplace_columns_refuse_a_bad_u_as_the_chain_does(ref_params, u):
+    # Fractional orders: a negative u to the power 0.9 is complex.
+    p = ref_params.with_betas(0.9, 0.8, 0.7)
+    with pytest.raises(ValueError) as expected:
+        laplace_assembly(p, u)
+    with pytest.raises(ValueError) as got:
+        laplace_columns(p, [1.0, u])
+    assert str(got.value) == str(expected.value)

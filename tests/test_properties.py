@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from triporo import (ModelError, StehfestScheme, TriplePorosityParams,
                      laplace_assembly, log_time_grid, pressure_curve)
-from triporo.model import laplace_rows
+from triporo.model import laplace_columns
 
-from conftest import LATE_TIME_DEFECT, REF_KWARGS, hex_rows, laplace_dump_rows
+from conftest import (LATE_TIME_DEFECT, REF_KWARGS, column_rows, hex_rows, laplace_dump_rows,
+                      laplace_dump_text, run_laplace)
 
 log_unit = st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)
 zero_or_log_unit = st.one_of(st.just(0.0), log_unit)
@@ -56,7 +57,7 @@ def test_wellbore_pressure_is_finite_or_a_named_error_with_u(u, **kwargs):
        us=st.lists(st.floats(-10.0, 6.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6))
 @example(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0),
          beta_m=1.0, beta_f=1.0, beta_v=1.0, us=[0.1, 1.0])
-def test_laplace_rows_equal_the_per_u_rows_or_raise_their_error(us, **kwargs):
+def test_laplace_rows_equal_the_per_u_rows_or_raise_their_error(tmp_path_factory, us, **kwargs):
     assume(kwargs["omega_f"] + kwargs["omega_v"] <= 1.0)
     assume(kwargs["kappa_f"] + kwargs["kappa_v"] < 1.0)
     p = TriplePorosityParams(**kwargs)
@@ -64,10 +65,13 @@ def test_laplace_rows_equal_the_per_u_rows_or_raise_their_error(us, **kwargs):
         expected = laplace_dump_rows(p, us)
     except ModelError as exc:
         with pytest.raises(ModelError) as got:
-            laplace_rows(p, us)
+            laplace_columns(p, us)
         assert str(got.value) == str(exc)
     else:
-        assert hex_rows(laplace_rows(p, us)) == hex_rows(expected)
+        assert hex_rows(column_rows(laplace_columns(p, us))) == hex_rows(expected)
+        rc, text = run_laplace(tmp_path_factory.getbasetemp(), p,
+                               {"u_values": " ".join(map(repr, us))})
+        assert (rc, text) == (0, laplace_dump_text(expected))
 
 
 # Late times (ROADMAP item 10).  Both pinned examples fail today, so the
