@@ -1,17 +1,15 @@
 """The ``laplace`` dump's chain over a whole u grid at once, bit for bit.
 
-``model.laplace_columns`` imports this module at its first call, so that
-``import triporo`` loads neither numpy nor this code.  Each step repeats a
-step of the per-u chain (``model.laplace_assembly`` and
-``LaplaceAssembly.wellbore_pressures``) over arrays, with the same
-floating-point operations in the same order.  numpy does only +, -, *, /,
-sqrt, abs, copysign and comparisons, which round as Python's floats do;
-``**``, acos, cos, exp and log run per element on Python floats, through libm
-as in the chain, because numpy's vectorised versions round differently on
-some inputs.  ``math.fsum`` forms each row's sums and scipy's ufuncs the
-scaled Bessel values.  The chain's Newton loops run under a mask, each
-entry stopping where the scalar loop breaks; where the chain would refuse
-or raise, the batch marks the row for the per-u chain instead.
+``cli.cmd_laplace`` imports this module when it runs, so that ``import
+triporo`` loads neither numpy nor this code.  The batch copies only the
+main path of the per-u chain (``model.laplace_assembly`` and
+``LaplaceAssembly.wellbore_pressures``), with the same floating-point
+operations in the same order; every other branch goes to the chain.  numpy
+does only +, -, *, /, sqrt, abs, copysign and comparisons, which round as
+Python's floats do; ``**``, acos, cos, exp and log run per element on
+Python floats, through libm as in the chain, because numpy's vectorised
+versions round differently on some inputs.  ``math.fsum`` forms each row's
+sums and scipy's ufuncs the scaled Bessel values.
 """
 
 import math
@@ -22,13 +20,32 @@ import numpy as np
 from . import model, roots, specfun
 
 
+def laplace_columns(p, us) -> list:
+    """The ``laplace`` dump's columns u, m1..m6, alpha1..3, A1..3, B1..3,
+    D1..3 and p_bar_w for the whole u grid, in one batch.
+
+    Row j is that of ``model.laplace_assembly(p, us[j])`` and its
+    ``wellbore_pressures()``, bit for bit.  The couplings m2, m3 and m5 are
+    one float each; every other column is a list.  A row off the main path,
+    or one that the chain refuses, raises on or leaves non-finite, is
+    recomputed by the chain, in u order, so an error is the one the per-u
+    loop raises first.
+    """
+    us = list(us)
+    columns, recompute = _laplace_table(p, us)
+    for j in recompute:
+        asm = model.laplace_assembly(p, us[j])
+        row = (asm.u, *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D, asm.wellbore_pressures()[2])
+        for column, v in zip(columns, row):
+            if isinstance(column, list):
+                column[j] = v
+    return columns
+
+
 @np.errstate(all="ignore")  # no numpy warning reaches a user
-def laplace_table(p, us) -> tuple[list, list[int]]:
-    """The dump's 20 columns for the u values ``us`` (lists of floats, and one
-    float for each coupling m2, m3 and m5), and the indices of the rows that
-    the per-u chain must recompute: those it refuses (with the tolerances of
-    ``model`` and ``roots`` at the call), on which it raises, or that hold a
-    non-finite value."""
+def _laplace_table(p, us) -> tuple[list, list[int]]:
+    """The dump's columns for ``us``, and the indices of the rows to recompute
+    (with the tolerances of ``model`` and ``roots`` at the call)."""
     u = np.array(us, dtype=float)
     bad = ~((u > 0.0) & (u < math.inf))
     ul = np.where(bad, 1.0, u).tolist()  # a negative u**beta would be complex
@@ -41,9 +58,10 @@ def laplace_table(p, us) -> tuple[list, list[int]]:
     m6 = _each(pow, ul, p.beta_v) * p.omega_v + lmv + lfv
     c3, c2, c1, c0 = model.characteristic_coefficients((m1, lmf, lmv, m4, lfv, m6), km, kf, kv)
 
-    # roots.solve_cubic_real: the closed-form seed x1.  A nan from _each is
-    # a power that raised, and a non-finite disc covers every non-finite
-    # b, p or q.
+    # roots.solve_cubic_real: the trigonometric seed x1 with m != 0.  A nan
+    # from _each is a power that raised, and a non-finite disc covers every
+    # non-finite b, p or q.  Cardano's seed (disc > 0) and den == 0, which
+    # covers m = 0 and a den that underflows, go to the chain.
     if not (math.isfinite(c3) and abs(c3) > 1e-300):
         bad[:] = True
     b = c2 / c3
@@ -52,36 +70,25 @@ def laplace_table(p, us) -> tuple[list, list[int]]:
     disc = _each(pow, q / 2.0, 2) + _each(pow, pc / 3.0, 3)
     bad |= ~(np.isfinite(c2) & np.isfinite(c1) & np.isfinite(c0) & np.isfinite(disc))
     shift = -b / 3.0
-    x1 = shift.copy()
-    trig = disc <= 0.0
     m = np.sqrt(_first_max(-pc / 3.0, 0.0))
     den = 2.0 * pc * m
+    bad |= (disc > 0.0) | (den == 0.0)
     arg = _first_max(-1.0, 3.0 * q / den)
-    arg = np.where(arg < 1.0, arg, 1.0)
-    i = np.flatnonzero(trig & (m != 0.0))
-    bad[i] |= den[i] == 0.0
-    theta, two_m, s = _each(math.acos, arg[i]) / 3.0, 2.0 * m[i], shift[i]
-    x1[i] = two_m * _each(math.cos, theta) + s
+    theta, two_m = _each(math.acos, np.where(arg < 1.0, arg, 1.0)) / 3.0, 2.0 * m
+    x1 = two_m * _each(math.cos, theta) + shift
     for k in (1, 2):
-        xk = two_m * _each(math.cos, theta - 2.0 * math.pi * k / 3.0) + s
-        x1[i] = np.where(abs(xk) > abs(x1[i]), xk, x1[i])
-    i = np.flatnonzero(~trig)
-    w, s = np.sqrt(disc[i]), -q[i] / 2.0
-    z = np.where(s >= 0.0, s + w, s - w)
-    cu = np.copysign(_each(pow, abs(z), 1.0 / 3.0), z)
-    bad[i] |= 3.0 * cu == 0.0
-    x1[i] = cu + -pc[i] / (3.0 * cu) + shift[i]
+        xk = two_m * _each(math.cos, theta - 2.0 * math.pi * k / 3.0) + shift
+        x1 = np.where(abs(xk) > abs(x1), xk, x1)
     x1 = _polish_rows((c3, c2, c1, c0), x1)
 
-    # Deflation and the sorted roots; x1 = 0 and qq = 0 leave a zero root
-    # or divide by zero.
-    bad |= x1 == 0.0
+    # Deflation by the Vieta forms, with x1 dominant; x1 = 0, the other
+    # form of q1, q1 = 0 and qq = 0 go to the chain.
     q0 = -c0 / x1
-    q1 = np.where(x1 * x1 * abs(c3) >= abs(q0), (q0 - c1) / x1, c2 + c3 * x1)
+    bad |= (x1 == 0.0) | ~(x1 * x1 * abs(c3) >= abs(q0))
+    q1 = (q0 - c1) / x1
     disc2 = q1 * q1 - 4.0 * c3 * q0
-    bad |= ~(disc2 >= 0.0)
-    sq = np.sqrt(disc2)
-    qq = np.where(q1 != 0.0, -0.5 * (q1 + np.copysign(sq, q1)), -0.5 * sq)
+    bad |= (q1 == 0.0) | ~(disc2 >= 0.0)
+    qq = -0.5 * (q1 + np.copysign(np.sqrt(disc2), q1))
     bad |= qq == 0.0
     col = (c3, c2[:, None], c1[:, None], c0[:, None])
     pair = _polish_rows(col, np.column_stack((qq / c3, q0 / qq)))

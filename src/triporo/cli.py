@@ -25,7 +25,7 @@ from .curves import (CURVE_FORMATS, log_time_grid, pressure_curve, write_csv,
                      write_curve)
 from .inversion import StehfestScheme, TransformEvaluationError
 from .model import (DimensionlessTransform, ModelError, PhysicalParams,
-                    TriplePorosityParams, laplace_columns, to_dimensionless)
+                    TriplePorosityParams, to_dimensionless)
 
 EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_IO = 0, 1, 2, 3
 
@@ -272,6 +272,7 @@ def _u_grid(cfg) -> list[float]:
 
 
 def cmd_laplace(args) -> int:
+    from . import batch  # with numpy, only when a dump is asked for
     cfg = _load(args.config)
     params = _build_params(cfg)
     us = _u_grid(cfg)
@@ -282,7 +283,7 @@ def cmd_laplace(args) -> int:
     # A coupling column is one float, so its text is formed once.
     write_csv(LAPLACE_HEADER, [[repr(c)] * len(us) if isinstance(c, float)
                                else map(float.__repr__, c)
-                               for c in laplace_columns(params, us)], out)
+                               for c in batch.laplace_columns(params, us)], out)
     _say(args, f"laplace: wrote {out} ({len(us)} rows, {time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 

@@ -17,8 +17,7 @@ system carries an implicit factor e^{-alpha_i} which cancels against the
 matching factor in D_i, so the wellbore pressure stays representable for
 arbitrarily large alpha (small times in the Stehfest inversion).
 
-``laplace_assembly`` solves one u; ``laplace_columns`` runs the same chain
-over a whole u grid at once, bit for bit, for the ``laplace`` dump.
+This module is the per-u chain: ``laplace_assembly`` solves one u.
 """
 
 import math
@@ -318,7 +317,10 @@ def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = P, Q, R
     t0, t1, t2 = q0 * r1 * p2, -q0 * p1 * r2, -r0 * q1 * p2
     t3, t4, t5 = -r1 * p0 * q2, p1 * r0 * q2, p0 * q1 * r2
-    det = math.fsum((t0, t1, t2, t3, t4, t5))
+    try:
+        det = math.fsum((t0, t1, t2, t3, t4, t5))
+    except (ValueError, OverflowError) as exc:  # inf - inf, or an overflowing sum
+        raise ModelError(f"boundary system cannot be solved: {exc}") from exc
     # Cancellation metric: the determinant against its own expansion terms.
     scale = max(abs(t0), abs(t1), abs(t2), abs(t3), abs(t4), abs(t5))
     if not abs(det) > SINGULAR_TOL * scale:
@@ -377,16 +379,19 @@ class LaplaceAssembly(NamedTuple):
         """(matrix, fracture, vug) sums of (A_i D_scaled_i) k_i, (B_i D_scaled_i) k_i
         and D_scaled_i k_i, in that association: the wellbore bits are pinned."""
         (d0, d1, d2), (A0, A1, A2), (B0, B1, B2) = self.D_scaled, self.A, self.B
-        pv = math.fsum((d0 * k0, d1 * k1, d2 * k2))
-        pm = math.fsum((A0 * d0 * k0, A1 * d1 * k1, A2 * d2 * k2))
-        pf = math.fsum((B0 * d0 * k0, B1 * d1 * k1, B2 * d2 * k2))
+        try:
+            pv = math.fsum((d0 * k0, d1 * k1, d2 * k2))
+            pm = math.fsum((A0 * d0 * k0, A1 * d1 * k1, A2 * d2 * k2))
+            pf = math.fsum((B0 * d0 * k0, B1 * d1 * k1, B2 * d2 * k2))
+        except (ValueError, OverflowError) as exc:  # inf - inf, or an overflowing sum
+            raise ModelError(f"modal sums failed: {exc}{_context(self.u, self.params)}") from exc
         return pm, pf, pv
 
     def wellbore_pressures(self) -> tuple[float, float, float]:
         """(matrix, fracture, vug) wellbore pressures; equal in exact arithmetic.
 
-        Their disagreement beyond CONSISTENCY_TOL, or a non-finite value,
-        raises ModelError ending in "(u=..., params=...)".
+        Their disagreement beyond CONSISTENCY_TOL, a non-finite value or an
+        fsum that fails raises ModelError ending in "(u=..., params=...)".
         """
         a0, a1, a2 = self.alpha
         k0 = specfun.bessel_k0_scaled
@@ -420,31 +425,6 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     except (RootClassificationError, ModelError) as exc:
         raise ModelError(f"{exc}{_context(u, p)}") from exc
     return LaplaceAssembly(p, u, m, alpha, A, B, D)
-
-
-def laplace_columns(p: TriplePorosityParams, us) -> list:
-    """The ``laplace`` dump's columns u, m1..m6, alpha1..3, A1..3, B1..3,
-    D1..3 and p_bar_w for the whole u grid, in one batch.
-
-    Row j is that of ``laplace_assembly(p, us[j])`` and its
-    ``wellbore_pressures()``, bit for bit: ``batch.laplace_table`` does the
-    chain's operations over all rows at once.  The couplings m2, m3 and m5
-    are one float each; every other column is a list.  A row that the chain
-    refuses, on which it raises or that holds a non-finite value is
-    recomputed here by the per-u chain, in u order, so an error is the one
-    the per-u loop raises first.
-    """
-    from . import batch
-
-    us = list(us)
-    columns, recompute = batch.laplace_table(p, us)
-    for j in recompute:
-        asm = laplace_assembly(p, us[j])
-        row = (asm.u, *asm.mterms, *asm.alpha, *asm.A, *asm.B, *asm.D, asm.wellbore_pressures()[2])
-        for column, v in zip(columns, row):
-            if isinstance(column, list):
-                column[j] = v
-    return columns
 
 
 def wellbore_pressure_laplace(p: TriplePorosityParams, u: float) -> float:

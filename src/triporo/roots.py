@@ -116,14 +116,14 @@ def alpha_roots(c: tuple[float, float, float, float]) -> tuple[float, float, flo
 
     The model's modal basis needs three distinct positive real roots.
     RootClassificationError refuses everything else: a cubic that cannot be
-    solved in doubles (a non-finite coefficient, an overflow at very large u
-    or a complex pair; the cause is chained), a non-positive root, two roots
-    within REPEAT_TOL of each other, and a root that fails the residual
-    bound.
+    solved in doubles (a non-finite coefficient, an overflow at very large u,
+    a divisor that underflows to zero or a complex pair; the cause is
+    chained), a non-positive root, two roots within REPEAT_TOL of each
+    other, and a root that fails the residual bound.
     """
     try:
         x0, x1, x2 = solve_cubic_real(c)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise RootClassificationError(
             f"characteristic equation cannot be solved: {exc}") from exc
     if not (x0 > 0.0 and x1 > 0.0 and x2 > 0.0):

@@ -18,8 +18,8 @@ between, because nine calls per Laplace evaluation make one costly.  A
 stand-in whose name was rebound meanwhile (a caller's wrapper, say) leaves
 the name alone and passes its calls on to the kernel.  Callers look the
 names up here at call time (``specfun.bessel_k0_scaled``), so none keeps a
-stand-in.  ``scaled_ufuncs`` imports the ufuncs, for the batch of
-``model.laplace_columns``, at its call too.
+stand-in.  ``scaled_ufuncs`` imports the ufuncs for ``batch.laplace_columns``
+at its call too, so the choice of Bessel kernels stays in this module.
 
 The chain needs no domain check: ``alpha_roots`` refuses non-positive
 roots, a refined root is accepted only if positive and finite, and the

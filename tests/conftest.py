@@ -44,7 +44,7 @@ def cubic_residual(c, x: float) -> tuple[float, float]:
 def laplace_dump_rows(p, us) -> list[list[float]]:
     """The ``laplace`` dump's rows from the per-u chain, one u at a time.
 
-    ``model.laplace_columns`` must give these bit for bit, or raise the first
+    ``batch.laplace_columns`` must give these bit for bit, or raise the first
     error they raise.
     """
     rows = []
@@ -61,7 +61,7 @@ def hex_rows(rows) -> list[list[str]]:
 
 
 def column_rows(columns) -> list[list[float]]:
-    """The rows of ``model.laplace_columns``; a coupling's one float fills its column."""
+    """The rows of ``batch.laplace_columns``; a coupling's one float fills its column."""
     n = len(columns[0])
     return [list(row) for row in zip(*(c if isinstance(c, list) else [c] * n for c in columns))]
 

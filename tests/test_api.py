@@ -51,13 +51,14 @@ def test_import_does_not_load_mpmath():
     assert proc.stdout.strip() == "False"
 
 
-# Prints which of numpy and scipy are loaded after each step: the import,
-# three commands that evaluate nothing, and one Laplace evaluation; then
-# whether the Bessel names are scipy's kernels themselves.
+# Prints which of numpy, scipy and triporo.batch are loaded after each step:
+# the import, three commands that evaluate nothing, and one Laplace
+# evaluation; then whether the Bessel names are scipy's kernels themselves.
 FIRST_EVALUATION = f"""
 import contextlib, io, sys
 def loaded():
-    return sorted({{m.partition(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}})
+    names = {{m.partition(".")[0] for m in sys.modules}} | set(sys.modules)
+    return sorted(names & {{"numpy", "scipy", "triporo.batch"}})
 import triporo, triporo.cli
 from triporo import cli, specfun
 print("import", loaded())

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from triporo import (ModelError, StehfestScheme, TriplePorosityParams,
                      laplace_assembly, log_time_grid, pressure_curve)
-from triporo.model import laplace_columns
+from triporo.batch import laplace_columns
 
 from conftest import (LATE_TIME_DEFECT, REF_KWARGS, column_rows, hex_rows, laplace_dump_rows,
                       laplace_dump_text, run_laplace)
