@@ -6,14 +6,15 @@ main path of the per-u chain (``model.laplace_assembly`` and
 ``LaplaceAssembly.wellbore_pressures``), with the same floating-point
 operations in the same order; every other branch goes to the chain.  numpy
 does only +, -, *, /, sqrt, abs, copysign and comparisons, which round as
-Python's floats do; ``**``, acos, cos, exp and log run per element on
-Python floats, through libm as in the chain, because numpy's vectorised
-versions round differently on some inputs.  ``math.fsum`` forms each row's
-sums and scipy's ufuncs the scaled Bessel values.
+Python's floats do; ``**``, acos and cos run per element on Python floats,
+through libm as in the chain, because numpy's vectorised versions round
+differently on some inputs.  ``math.fsum`` forms each row's sums.  Only
+stages that would cost too much per row are copied: the boundary rows are
+``model.boundary_vectors`` on columns, and ``specfun``'s Bessel names and
+``model._unscale_weight`` run per element.
 """
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -114,12 +115,11 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
     A, B, refused = _modal_rows(x, mcol, km, kf, kv)
     bad |= refused.any(axis=1)
 
-    # boundary_vectors, solve_boundary and wellbore_pressures.
-    k0e, k1e = specfun.scaled_ufuncs()
-    alpha_ok = np.where(bad[:, None], 1.0, alpha)
-    k0, k1 = k0e(alpha_ok), k1e(alpha_ok)
-    (p0, p1, p2), (q0, q1, q2) = (alpha_ok * k1 * (km * A + kf * B + kv)).T, ((A - 1.0) * k0).T
-    r0, r1, r2 = ((B - 1.0) * k0).T
+    # The chain's Bessel values and rows; solve_boundary, wellbore_pressures.
+    k0 = _each(specfun.bessel_k0_scaled, alpha.ravel()).reshape(alpha.shape)
+    k1 = _each(specfun.bessel_k1_scaled, alpha.ravel()).reshape(alpha.shape)
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = model.boundary_vectors(
+        alpha.T, A.T, B.T, k0.T, k1.T, km, kf, kv)
     t = np.column_stack((q0 * r1 * p2, -q0 * p1 * r2, -r0 * q1 * p2,
                          -r1 * p0 * q2, p1 * r0 * q2, p0 * q1 * r2))
     bad |= ~np.isfinite(t).all(axis=1)
@@ -133,12 +133,7 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
     pm, pf = _each(math.fsum, A * D * k0), _each(math.fsum, B * D * k0)
     tol = model.CONSISTENCY_TOL * abs(pv)
     bad |= ~((abs(pm - pv) <= tol) & (abs(pf - pv) <= tol))
-
-    # _unscale_weight: exp per element up to alpha = 700, the log path above.
-    exp = _each(math.exp, np.where(alpha <= 700.0, alpha, 0.0).ravel()).reshape(D.shape)
-    unscaled = np.where(D == 0.0, 0.0, D * exp)
-    for r, j in zip(*np.nonzero(~(alpha <= 700.0))):
-        unscaled[r, j] = model._unscale_weight(D[r, j].item(), alpha[r, j].item())
+    unscaled = _each(model._unscale_weight, D.ravel(), alpha.ravel()).reshape(D.shape)
     # Only the unscaled D may overflow, as the chain's does past alpha ~ 709.
     bad |= ~np.isfinite(np.column_stack((m1, m4, m6, alpha, A, B, D, pv))).all(axis=1)
     columns = [ul, m1.tolist(), float(lmf), float(lmv), m4.tolist(), float(lfv), m6.tolist(),
@@ -148,12 +143,14 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
 
 def _each(fn, xs, *args):
     """fn(x, *args) for each x of xs, a list of Python floats or an array (each
-    row as a list when it is 2-D), as the per-u chain calls it; nan where it raises."""
+    row as a list when it is 2-D), and each array of args entry by entry along
+    xs, as the per-u chain calls it; nan where it raises."""
     xs = xs.tolist() if isinstance(xs, np.ndarray) else xs
+    args = [a.tolist() if isinstance(a, np.ndarray) else [a] * len(xs) for a in args]
     try:
-        return np.fromiter(map(fn, xs, *(repeat(a) for a in args)), float, len(xs))
+        return np.fromiter(map(fn, xs, *args), float, len(xs))
     except (ArithmeticError, ValueError):
-        return np.array([_or_nan(fn, x, *args) for x in xs])
+        return np.array([_or_nan(fn, *x) for x in zip(xs, *args)])
 
 
 def _or_nan(fn, *args):

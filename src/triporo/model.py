@@ -284,23 +284,22 @@ def _modal_from_x(x: float, m: tuple[float, ...], kappa_m: float, kappa_f: float
     return a, b
 
 
-def boundary_vectors(alpha, A, B, kappa_m: float, kappa_f: float,
+def boundary_vectors(alpha, A, B, k0, k1, kappa_m: float, kappa_f: float,
                      kappa_v: float):
     """Scaled boundary-system rows (P, Q, R).
 
     P_i = alpha_i K1e(alpha_i) E_i with the modal totals E_i = kappa_m A_i
     + kappa_f B_i + kappa_v; Q_i = (A_i - 1) K0e(alpha_i); R_i = (B_i - 1)
-    K0e(alpha_i), where K0e and K1e are the e^{alpha_i}-scaled Bessel
-    functions, so row entry i carries an implicit e^{-alpha_i}.  The
-    unscaled rows underflow once alpha_i exceeds ~740 and are not formed.
+    K0e(alpha_i), with the e^{alpha_i}-scaled Bessel values k0_i = K0e(alpha_i)
+    and k1_i = K1e(alpha_i), so row entry i carries an implicit e^{-alpha_i}.
+    The unscaled rows underflow once alpha_i exceeds ~740 and are not formed.
+    Each argument holds three floats, or three columns of a batch.
     """
     (a0, a1, a2), (A0, A1, A2), (B0, B1, B2) = alpha, A, B
+    (k00, k01, k02), (k10, k11, k12) = k0, k1
     e0 = kappa_m * A0 + kappa_f * B0 + kappa_v
     e1 = kappa_m * A1 + kappa_f * B1 + kappa_v
     e2 = kappa_m * A2 + kappa_f * B2 + kappa_v
-    k0, k1 = specfun.bessel_k0_scaled, specfun.bessel_k1_scaled
-    k00, k01, k02 = k0(a0), k0(a1), k0(a2)
-    k10, k11, k12 = k1(a0), k1(a1), k1(a2)
     return ((a0 * k10 * e0, a1 * k11 * e1, a2 * k12 * e2),
             ((A0 - 1.0) * k00, (A1 - 1.0) * k01, (A2 - 1.0) * k02),
             ((B0 - 1.0) * k00, (B1 - 1.0) * k01, (B2 - 1.0) * k02))
@@ -312,15 +311,13 @@ def solve_boundary(P, Q, R, u: float) -> tuple[float, float, float]:
     D = (Q x R) / (u * det) with det expanded in the six-term form; the
     cross product makes Q.D and R.D vanish to rounding level by
     construction.  Column scalings of (P, Q, R) carry through to D
-    unchanged in the inner products.
+    unchanged in the inner products.  An fsum that fails and a u * det of 0
+    raise their arithmetic error, for ``laplace_assembly`` to refuse.
     """
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = P, Q, R
     t0, t1, t2 = q0 * r1 * p2, -q0 * p1 * r2, -r0 * q1 * p2
     t3, t4, t5 = -r1 * p0 * q2, p1 * r0 * q2, p0 * q1 * r2
-    try:
-        det = math.fsum((t0, t1, t2, t3, t4, t5))
-    except (ValueError, OverflowError) as exc:  # inf - inf, or an overflowing sum
-        raise ModelError(f"boundary system cannot be solved: {exc}") from exc
+    det = math.fsum((t0, t1, t2, t3, t4, t5))
     # Cancellation metric: the determinant against its own expansion terms.
     scale = max(abs(t0), abs(t1), abs(t2), abs(t3), abs(t4), abs(t5))
     if not abs(det) > SINGULAR_TOL * scale:
@@ -405,25 +402,30 @@ class LaplaceAssembly(NamedTuple):
 
 
 def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
-    """Assemble the full Laplace-space solution state at u > 0."""
+    """Assemble the full Laplace-space solution state at u > 0; the one site
+    where an error of its stages becomes a ModelError naming u."""
     if type(u) is not float or not 0.0 < u < math.inf:
         u = _check_u(u)
     m = m_terms(p, u)
     kf, kv = p.kappa_f, p.kappa_v
     km = 1.0 - kf - kv
     try:
-        a0, a1, a2 = alpha_roots(characteristic_coefficients(m, km, kf, kv))
-        x0 = _refine_root(a0 * a0, m, km, kf, kv)
-        x1 = _refine_root(a1 * a1, m, km, kf, kv)
-        x2 = _refine_root(a2 * a2, m, km, kf, kv)
-        alpha = (math.sqrt(x0), math.sqrt(x1), math.sqrt(x2))
+        r0, r1, r2 = alpha_roots(characteristic_coefficients(m, km, kf, kv))
+        x0 = _refine_root(r0 * r0, m, km, kf, kv)
+        x1 = _refine_root(r1 * r1, m, km, kf, kv)
+        x2 = _refine_root(r2 * r2, m, km, kf, kv)
+        alpha = a0, a1, a2 = (math.sqrt(x0), math.sqrt(x1), math.sqrt(x2))
         A0, B0 = _modal_from_x(x0, m, km, kf, kv)
         A1, B1 = _modal_from_x(x1, m, km, kf, kv)
         A2, B2 = _modal_from_x(x2, m, km, kf, kv)
         A, B = (A0, A1, A2), (B0, B1, B2)
-        D = solve_boundary(*boundary_vectors(alpha, A, B, km, kf, kv), u)
+        k0, k1 = specfun.bessel_k0_scaled, specfun.bessel_k1_scaled
+        D = solve_boundary(*boundary_vectors(alpha, A, B, (k0(a0), k0(a1), k0(a2)),
+                                             (k1(a0), k1(a1), k1(a2)), km, kf, kv), u)
     except (RootClassificationError, ModelError) as exc:
         raise ModelError(f"{exc}{_context(u, p)}") from exc
+    except (ArithmeticError, ValueError) as exc:
+        raise ModelError(f"arithmetic failed: {exc}{_context(u, p)}") from exc
     return LaplaceAssembly(p, u, m, alpha, A, B, D)
 
 

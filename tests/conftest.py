@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from triporo import CurvePoint, TriplePorosityParams, laplace_assembly
+from triporo import CurvePoint, TriplePorosityParams, laplace_assembly, specfun
 from triporo.cli import LAPLACE_HEADER, main
 
 # Carbonate-style reference set used throughout: fracture-dominated flow,
@@ -39,6 +39,13 @@ def cubic_residual(c, x: float) -> tuple[float, float]:
     c3, c2, c1, c0 = c
     return (((c3 * x + c2) * x + c1) * x + c0,
             max(abs(c3 * x**3), abs(c2 * x**2), abs(c1 * x), abs(c0)))
+
+
+def bessel_triples(alpha) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The scaled Bessel values (K0e, K1e) at each of the three alpha, the
+    triples that ``model.boundary_vectors`` takes."""
+    return (tuple(specfun.bessel_k0_scaled(a) for a in alpha),
+            tuple(specfun.bessel_k1_scaled(a) for a in alpha))
 
 
 def laplace_dump_rows(p, us) -> list[list[float]]:

@@ -38,8 +38,8 @@ from triporo.model import (TriplePorosityParams, boundary_vectors,
                            laplace_assembly, wellbore_pressure_laplace)
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
-from conftest import (COLLAPSED, PHYSICAL_KWARGS, REF_KWARGS, cubic_residual, ini,
-                      read_curve_csv)
+from conftest import (COLLAPSED, PHYSICAL_KWARGS, REF_KWARGS, bessel_triples, cubic_residual,
+                      ini, read_curve_csv)
 from oracle import single_medium, stehfest_exact, stehfest_weights_50
 from test_specfun import k0_scaled_oracle, k1_scaled_oracle
 
@@ -153,7 +153,8 @@ def test_criterion_3_laplace_structural_residuals():
                 resid = M @ vec
                 scale = max(np.linalg.norm(M, axis=1)) * np.linalg.norm(vec)
                 worst_ns = max(worst_ns, float(np.max(np.abs(resid))) / scale)
-            P, Q, R = map(np.array, boundary_vectors(asm.alpha, asm.A, asm.B, km, kf, kv))
+            P, Q, R = map(np.array, boundary_vectors(asm.alpha, asm.A, asm.B,
+                                                     *bessel_triples(asm.alpha), km, kf, kv))
             D = np.array(asm.D_scaled)
             worst_bnd = max(
                 worst_bnd, abs(float(np.dot(P, D)) * float(u) - 1.0),

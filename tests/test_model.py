@@ -9,7 +9,7 @@ import pytest
 
 import oracle
 
-from triporo import batch
+from triporo import batch, specfun
 from triporo.curves import log_time_grid, pressure_curve
 from triporo.inversion import StehfestScheme, TransformEvaluationError
 from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
@@ -20,8 +20,8 @@ from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
 from triporo.roots import RootClassificationError, solve_cubic_real
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
-from conftest import (COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS, column_rows, hex_rows,
-                      laplace_dump_rows)
+from conftest import (COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS, bessel_triples, column_rows,
+                      hex_rows, laplace_dump_rows)
 
 # The README set with every coupling exactly zero.
 UNCOUPLED = TriplePorosityParams(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0))
@@ -237,7 +237,7 @@ def test_boundary_vectors_definitions(ref_params):
     A = (1.0, 2.0, 3.0)
     B = (1.0, 0.5, -1.0)
     km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
-    P, Q, R = boundary_vectors(alpha, A, B, km, kf, kv)
+    P, Q, R = boundary_vectors(alpha, A, B, *bessel_triples(alpha), km, kf, kv)
     E = [km * A[i] + kf * B[i] + kv for i in range(3)]
     assert Q[0] == 0.0  # A_1 = 1 exactly
     for i in range(3):
@@ -253,7 +253,7 @@ def test_boundary_vectors_scaled_consistency(ref_params):
     B = (0.9, 0.5, -1.0)
     km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
     # Removing the implicit e^{-alpha_i} recovers the unscaled definitions.
-    Ps, Qs, Rs = boundary_vectors(alpha, A, B, km, kf, kv)
+    Ps, Qs, Rs = boundary_vectors(alpha, A, B, *bessel_triples(alpha), km, kf, kv)
     E = [km * A[i] + kf * B[i] + kv for i in range(3)]
     for i in range(3):
         f = math.exp(-alpha[i])
@@ -296,7 +296,8 @@ def test_solve_boundary_refuses_nan_entry():
 def _boundary_rows(asm):
     """The scaled boundary rows (P, Q, R) that the assembly's weights solve."""
     p = asm.params
-    return boundary_vectors(asm.alpha, asm.A, asm.B, p.kappa_m, p.kappa_f, p.kappa_v)
+    return boundary_vectors(asm.alpha, asm.A, asm.B, *bessel_triples(asm.alpha),
+                            p.kappa_m, p.kappa_f, p.kappa_v)
 
 
 def test_boundary_residuals_on_reference_set(ref_params):
@@ -861,6 +862,23 @@ def test_laplace_rows_equal_the_per_u_chain_bit_for_bit(ref_kwargs, betas, monke
     assert hex_rows(column_rows(batch.laplace_columns(p, us))) == expected
 
 
+def test_laplace_rows_take_the_chains_bessel_kernels(ref_params, monkeypatch):
+    # The batch looks the Bessel names up in specfun when it runs and calls
+    # each once per root, so a wrapper there (the benchmark's tracer, say)
+    # sees every call and changes no bit.
+    p = ref_params.with_betas(0.9, 0.8, 0.7)
+    us = log_time_grid(1e-10, 1e6, 62)
+    expected = hex_rows(column_rows(batch.laplace_columns(p, us)))
+    calls = dict.fromkeys(("bessel_k0_scaled", "bessel_k1_scaled"), 0)
+    for name in calls:
+        def counting(x, name=name, kernel=getattr(specfun, name)):
+            calls[name] += 1
+            return kernel(x)
+        monkeypatch.setattr(specfun, name, counting)
+    assert hex_rows(column_rows(batch.laplace_columns(p, us))) == expected
+    assert calls == dict.fromkeys(calls, 3 * len(us))
+
+
 def test_laplace_rows_sent_back_come_from_the_per_u_chain(ref_params, monkeypatch):
     # Every row sent back, its batch values spoiled, comes from the chain.
     p = ref_params.with_betas(0.9, 0.8, 0.7)
@@ -932,6 +950,12 @@ def test_laplace_rows_off_the_main_path_go_back_to_the_per_u_chain(p, us, sent_b
           lambda_mv=2.0949221967210737e-295, lambda_fv=8.432992746012543e-51,
           beta_m=0.9268153027878444, beta_f=0.9264954051760612, beta_v=0.43213307777775584),
      5e-324),
+    # u * det underflows to 0 at a subnormal u.
+    (dict(omega_f=4.4212785368294e-10, omega_v=5.274118953973973e-10,
+          kappa_f=2.2933691229304738e-10, kappa_v=2.8345254410225023e-10,
+          lambda_mf=3.081745491211984e-05, lambda_mv=0.06363558700580584,
+          lambda_fv=0.012168199665464285, beta_m=0.6356313983830767,
+          beta_f=0.7570846299887063, beta_v=0.8597506213947621), 5e-324),
 ])
 def test_arithmetic_failures_are_model_errors_with_u(kwargs, u):
     p = TriplePorosityParams(**kwargs)
