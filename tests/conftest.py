@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from triporo import CurvePoint, TriplePorosityParams, laplace_assembly, specfun
+from triporo import CurvePoint, TriplePorosityParams, laplace_assembly
 from triporo.cli import LAPLACE_HEADER, main
 
 # Carbonate-style reference set used throughout: fracture-dominated flow,
@@ -29,23 +29,6 @@ COLLAPSED = TriplePorosityParams(**dict.fromkeys(REF_KWARGS, 1e-12))
 LATE_TIME_DEFECT = pytest.mark.xfail(strict=True, reason=(
     "known defect: as u falls, the storage term u^beta omega of m1, m4 and m6 "
     "rounds away against the couplings, so the slowest mode is lost"))
-
-
-def cubic_residual(c, x: float) -> tuple[float, float]:
-    """The cubic c = (c3, c2, c1, c0) at x, and its largest term's magnitude.
-
-    ``roots.alpha_roots`` bounds the first by RESIDUAL_TOL times the second.
-    """
-    c3, c2, c1, c0 = c
-    return (((c3 * x + c2) * x + c1) * x + c0,
-            max(abs(c3 * x**3), abs(c2 * x**2), abs(c1 * x), abs(c0)))
-
-
-def bessel_triples(alpha) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The scaled Bessel values (K0e, K1e) at each of the three alpha, the
-    triples that ``model.boundary_vectors`` takes."""
-    return (tuple(specfun.bessel_k0_scaled(a) for a in alpha),
-            tuple(specfun.bessel_k1_scaled(a) for a in alpha))
 
 
 def laplace_dump_rows(p, us) -> list[list[float]]:

@@ -13,11 +13,12 @@ pressures and the unit-rate flux condition give
     p_i(r) = p_w sum_j (w_ij / sqrt(kappa_i)) (y.w_j) K0(alpha_j r) / K0(alpha_j).
 
 The float parameters and u are taken as exact; everything runs at the
-caller's ``mp.workdps``.
+caller's ``mp.workdps``, except ``boundary_residuals``, which checks a
+solution against the wellbore conditions at 30 digits.
 
 It also holds the single-medium fractional solution of order a,
-K0(r z) / (u z K1(z)) with z = sqrt(u^a), from mpmath's Bessel functions:
-the limit the triple-porosity model collapses to.
+K0(r z) / (u z K1(z)) with z = sqrt(u^a): the limit the triple-porosity
+model collapses to.
 
 It also holds the tests' one exact Gaver-Stehfest sum: the textbook
 weights at 50 digits, and the order-n sum (ln 2 / t) sum V_k F(u_k) at
@@ -32,6 +33,23 @@ import mpmath as mp
 
 def _sqrt_kappa(p):
     return [mp.sqrt(mp.mpf(k)) for k in (p.kappa_m, p.kappa_f, p.kappa_v)]
+
+
+def _bessel_k_scaled(a):
+    """e^a K0(a) and e^a K1(a): mpmath's besselk from a = 60 on; below, where
+    besselk is slow, the ascending series with the digits it cancels added."""
+    a = mp.mpf(a)
+    if a >= 60:
+        return [mp.besselk(n, a) * mp.exp(a) for n in (0, 1)]
+    with mp.extradps(int(a) + 10):
+        q, lg = a * a / 4, mp.log(a / 2) + mp.euler
+        t, h, k, i0, s0, i1, s1 = mp.mpf(1), mp.mpf(0), 0, 0, 0, 0, 0
+        while t > mp.eps * i0:  # t = q^k / k!^2 and h = 1 + 1/2 + ... + 1/k
+            i0, s0, i1 = i0 + t, s0 + t * h, i1 + t / (k + 1)
+            s1 += t / (k + 1) * (2 * h + mp.mpf(1) / (k + 1))
+            k += 1
+            t, h = t * q / (k * k), h + mp.mpf(1) / k
+        return [(s0 - lg * i0) * mp.exp(a), (1 / a + a * lg * i1 / 2 - a * s1 / 4) * mp.exp(a)]
 
 
 def modes(p, u):
@@ -53,12 +71,12 @@ def modes(p, u):
 
 
 def _wellbore_terms(p, u):
-    """p_w, y, and per mode (alpha_j, w_j, y.w_j, K0(alpha_j)), from one eigsy."""
+    """p_w, y, and per mode (alpha_j, w_j, y.w_j, e^alpha_j K0(alpha_j)), from one eigsy."""
     y = _sqrt_kappa(p)
     total, terms = 0, []
     for alpha, w in modes(p, u):
-        yw, k0 = mp.fdot(y, w), mp.besselk(0, alpha)
-        total += yw ** 2 * alpha * mp.besselk(1, alpha) / k0
+        yw, (k0, k1) = mp.fdot(y, w), _bessel_k_scaled(alpha)
+        total += yw ** 2 * alpha * k1 / k0
         terms.append((alpha, w, yw, k0))
     return 1 / (mp.mpf(u) * total), y, terms
 
@@ -74,17 +92,47 @@ def field(p, u, r):
     r = mp.mpf(r)
     out = [0, 0, 0]
     for alpha, w, yw, k0 in terms:
-        c = yw * mp.besselk(0, alpha * r) / k0
+        c = yw * _bessel_k_scaled(alpha * r)[0] * mp.exp(alpha * (1 - r)) / k0
         for i in range(3):
             out[i] += w[i] / y[i] * c
     return [pw * v for v in out]
 
 
+def boundary_rows(s):
+    """Unit-rate flux and p_m(1) = p_f(1) = p_v(1) on the weights D of the modes
+    (alpha_j, A_j, B_j, 1) of a solution s, as rows F.D = 1/u and G.D = H.D = 0:
+    F_j = alpha_j K1(alpha_j) (kappa_m A_j + kappa_f B_j + kappa_v), G_j and
+    H_j = (A_j - 1) and (B_j - 1) times K0(alpha_j).  Each Bessel value carries
+    e^{alpha_j}, so D_j is scaled by e^{-alpha_j}."""
+    km, kf, kv = (mp.mpf(k) for k in (s.params.kappa_m, s.params.kappa_f, s.params.kappa_v))
+    rows = []
+    for a, Aj, Bj in zip(*([mp.mpf(v) for v in c] for c in (s.alpha, s.A, s.B))):
+        k0, k1 = _bessel_k_scaled(a)
+        rows.append((a * k1 * (km * Aj + kf * Bj + kv), (Aj - 1) * k0, (Bj - 1) * k0))
+    return [list(row) for row in zip(*rows)]
+
+
+def boundary_residuals(s):
+    """|u F.D - 1|, and |G.D| and |H.D| over the sum of their terms'
+    magnitudes, at 30 digits, for the rows of ``boundary_rows`` and the scaled
+    weights D = s.D_scaled at s.u."""
+    with mp.workdps(30):
+        F, G, H = boundary_rows(s)
+        D = [mp.mpf(d) for d in s.D_scaled]
+
+        def gap(row):
+            terms = [r * d for r, d in zip(row, D)]
+            return float(abs(mp.fsum(terms)) / mp.fsum(abs(t) for t in terms))
+
+        return float(abs(s.u * mp.fdot(F, D) - 1)), gap(G), gap(H)
+
+
 def single_medium(order, u, r=1):
     """The single-medium pressure of fractional order ``order`` at radius r."""
     u = mp.mpf(u)
-    z = mp.sqrt(u ** mp.mpf(order))
-    return mp.besselk(0, mp.mpf(r) * z) / (u * z * mp.besselk(1, z))
+    z, r = mp.sqrt(u ** mp.mpf(order)), mp.mpf(r)
+    return (_bessel_k_scaled(r * z)[0] * mp.exp(z - r * z)
+            / (u * z * _bessel_k_scaled(z)[1]))
 
 
 def stehfest_weights_50(n):

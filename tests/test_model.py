@@ -13,18 +13,19 @@ from triporo import batch, specfun
 from triporo.curves import log_time_grid, pressure_curve
 from triporo.inversion import StehfestScheme, TransformEvaluationError
 from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
-                           _modal_from_x, _unscale_weight,
-                           boundary_vectors, characteristic_coefficients,
-                           field_pressure_laplace, laplace_assembly, m_terms, solve_boundary, to_dimensionless,
+                           field_pressure_laplace, laplace_assembly, to_dimensionless,
                            wellbore_pressure_laplace)
-from triporo.roots import RootClassificationError, solve_cubic_real
-from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
+from triporo.specfun import bessel_k0_scaled
 
-from conftest import (COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS, bessel_triples, column_rows,
-                      hex_rows, laplace_dump_rows)
+from conftest import (COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS, column_rows, hex_rows,
+                      laplace_dump_rows)
 
 # The README set with every coupling exactly zero.
 UNCOUPLED = TriplePorosityParams(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0))
+# The README set with every coupling 1e-20: under half an ulp of each storage
+# term, so the m-terms are the uncoupled ones, and the chain still solves it.
+NEARLY_UNCOUPLED = TriplePorosityParams(
+    **dict(REF_KWARGS, lambda_mf=1e-20, lambda_mv=1e-20, lambda_fv=1e-20))
 
 # Parameter sets whose characteristic cubic has, at the paired u (a Stehfest
 # node of a 1e-1..1e5 curve), a close pair of roots far below the dominant
@@ -101,7 +102,7 @@ def test_params_invariants(ref_params):
 # ---------------------------------------------------------------- m-terms
 
 def test_m_terms_reference_values(ref_params):
-    m = m_terms(ref_params, 1.0)
+    m = laplace_assembly(ref_params, 1.0).mterms
     assert m[0] == pytest.approx(0.18100001, rel=1e-12)
     assert m[1] == 1e-3
     assert m[2] == 1e-8
@@ -111,36 +112,37 @@ def test_m_terms_reference_values(ref_params):
 
 
 def test_m_terms_zero_coupling_collapse():
-    p = UNCOUPLED
-    assert m_terms(p, 1.0) == (p.omega_m, 0.0, 0.0, p.omega_f, 0.0, p.omega_v)
+    p = NEARLY_UNCOUPLED
+    assert laplace_assembly(p, 1.0).mterms == (p.omega_m, 1e-20, 1e-20, p.omega_f, 1e-20,
+                                                p.omega_v)
 
 
 def test_m_terms_u_scaling(ref_params):
     p = ref_params.with_betas(0.5, 1.0, 1.0)
-    d = m_terms(p, 4.0)[0] - m_terms(p, 1.0)[0]
+    d = laplace_assembly(p, 4.0).mterms[0] - laplace_assembly(p, 1.0).mterms[0]
     assert d == pytest.approx(p.omega_m, rel=1e-12)  # 4^0.5 - 1^0.5 = 1
 
 
-def test_m_terms_rejects_bad_u(ref_params):
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            m_terms(ref_params, bad)
-
-
-# ------------------------------------------------- characteristic cubic
+# ------------------------------------------------- characteristic roots
 
 def test_characteristic_leading_coefficient(ref_params):
-    c = characteristic_coefficients(m_terms(ref_params, 1.0), ref_params.kappa_m,
-                                    ref_params.kappa_f, ref_params.kappa_v)
-    assert c[0] == pytest.approx(0.23 * 0.75 * 0.02, rel=1e-12)
+    # det M(x) leads with kappa_m kappa_f kappa_v, so its roots x = alpha^2
+    # sum to m1/kappa_m + m4/kappa_f + m6/kappa_v and multiply to
+    # det S / (kappa_m kappa_f kappa_v), S the coupling matrix.
+    asm = laplace_assembly(ref_params, 1.0)
+    m1, m2, m3, m4, m5, m6 = asm.mterms
+    km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
+    x = [a * a for a in asm.alpha]
+    det_s = m1 * m4 * m6 - m1 * m5 * m5 - m2 * m2 * m6 - 2.0 * m2 * m3 * m5 - m3 * m3 * m4
+    assert sum(x) == pytest.approx(m1 / km + m4 / kf + m6 / kv, rel=1e-12)
+    assert math.prod(x) == pytest.approx(det_s / (km * kf * kv), rel=1e-12)
 
 
 def test_characteristic_zero_coupling_factors():
-    p = UNCOUPLED
-    m = m_terms(p, 1.0)
-    c = characteristic_coefficients(m, p.kappa_m, p.kappa_f, p.kappa_v)
-    expected = sorted((m[0] / p.kappa_m, m[3] / p.kappa_f, m[5] / p.kappa_v))
-    assert solve_cubic_real(c) == pytest.approx(expected, rel=1e-10)
+    # Uncoupled media decay at alpha_i^2 = u^beta_i omega_i / kappa_i.
+    p = NEARLY_UNCOUPLED
+    expected = sorted((p.omega_m / p.kappa_m, p.omega_f / p.kappa_f, p.omega_v / p.kappa_v))
+    assert [a * a for a in laplace_assembly(p, 1.0).alpha] == pytest.approx(expected, rel=1e-10)
 
 
 def test_determinant_vanishes_at_roots(ref_params):
@@ -162,8 +164,8 @@ def test_modal_null_space_residual_componentwise(ref_params):
     # At u = 1 the per-row componentwise residual is already tiny; at
     # extreme u only the normwise residual is meaningful (acceptance
     # criterion 3 checks that one over u in [1e-6, 1e6]).
-    m1, m2, m3, m4, m5, m6 = m_terms(ref_params, 1.0)
     asm = laplace_assembly(ref_params, 1.0)
+    m1, m2, m3, m4, m5, m6 = asm.mterms
     km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
     for i, a in enumerate(asm.alpha):
         x = a * a
@@ -209,115 +211,33 @@ def test_modal_decoupled_medium_reports_degeneracy():
         laplace_assembly(UNCOUPLED, 1.0)
 
 
-def test_modal_rank_deficient_matrix_raises():
-    # kappa = 1, x = 1: M(x) = diag(0, 0, -1) has rank 1, so every 2x2 minor
-    # of the adjugate vanishes and no null direction is singled out.
-    with pytest.raises(ModelError, match="rank < 2"):
-        _modal_from_x(1.0, (1, 0, 0, 1, 0, 2), 1.0, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("m, expected", [
-    # Columns 2 and 1 tie (max |entry| 9) above column 0 (8); column 2 = (0, 3, 9).
-    ((4, 0, 0, 4, 1, 4), (0.0 / 9.0, 3.0 / 9.0)),
-    # Columns 1 and 0 tie (8) above column 2 (5); column 1 = (7, 8, 5).
-    ((4, 2, 1, 4, 1, 4), (7.0 / 5.0, 8.0 / 5.0)),
-    # All three columns tie (9); column 2 = (9, 9, 9).
-    ((4, 0, 3, 4, 3, 4), (1.0, 1.0)),
-], ids=["cols-2-1", "cols-1-0", "all"])
-def test_modal_column_ties_prefer_column_2_then_1(m, expected):
-    # At a non-root x the adjugate columns are not parallel, so the column
-    # chosen shows in (A, B): ties go to column 2, then column 1.
-    assert _modal_from_x(1.0, m, 1.0, 1.0, 1.0) == expected
-
-
 # ------------------------------------------------------ boundary system
 
 def test_boundary_vectors_definitions(ref_params):
-    alpha = (0.5, 1.0, 2.0)
-    A = (1.0, 2.0, 3.0)
-    B = (1.0, 0.5, -1.0)
-    km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
-    P, Q, R = boundary_vectors(alpha, A, B, *bessel_triples(alpha), km, kf, kv)
-    E = [km * A[i] + kf * B[i] + kv for i in range(3)]
-    assert Q[0] == 0.0  # A_1 = 1 exactly
-    for i in range(3):
-        assert P[i] == pytest.approx(alpha[i] * bessel_k1_scaled(alpha[i]) * E[i],
-                                     rel=1e-14)
-        assert Q[i] == pytest.approx((A[i] - 1.0) * bessel_k0_scaled(alpha[i]), rel=1e-14)
-        assert R[i] == pytest.approx((B[i] - 1.0) * bessel_k0_scaled(alpha[i]), rel=1e-14)
+    # The scaled weights meet the wellbore conditions with mpmath's Bessel values.
+    for betas in ((1.0, 1.0, 1.0), (0.9, 0.8, 0.7), (0.77, 0.56, 0.6)):
+        asm = laplace_assembly(ref_params.with_betas(*betas), 1.0)
+        assert max(oracle.boundary_residuals(asm)) <= 1e-14, betas
 
 
 def test_boundary_vectors_scaled_consistency(ref_params):
-    alpha = (0.5, 1.0, 2.0)
-    A = (1.1, 2.0, 3.0)
-    B = (0.9, 0.5, -1.0)
-    km, kf, kv = ref_params.kappa_m, ref_params.kappa_f, ref_params.kappa_v
-    # Removing the implicit e^{-alpha_i} recovers the unscaled definitions.
-    Ps, Qs, Rs = boundary_vectors(alpha, A, B, *bessel_triples(alpha), km, kf, kv)
-    E = [km * A[i] + kf * B[i] + kv for i in range(3)]
-    for i in range(3):
-        f = math.exp(-alpha[i])
-        k0, k1 = float(mp.besselk(0, alpha[i])), float(mp.besselk(1, alpha[i]))
-        assert Ps[i] * f == pytest.approx(alpha[i] * k1 * E[i], rel=1e-13)
-        assert Qs[i] * f == pytest.approx((A[i] - 1.0) * k0, rel=1e-13)
-        assert Rs[i] * f == pytest.approx((B[i] - 1.0) * k0, rel=1e-13)
-
-
-def test_solve_boundary_identity_rows():
-    D = solve_boundary((1, 0, 0), (0, 1, 0), (0, 0, 1), 1.0)
-    assert D == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
-
-
-def test_solve_boundary_permuted_rows():
-    D = solve_boundary((0, 1, 0), (1, 0, 0), (0, 0, 1), 2.0)
-    assert D == pytest.approx([0.0, 0.5, 0.0], abs=1e-15)
-
-
-def test_solve_boundary_singular():
-    with pytest.raises(ModelError, match="singular"):
-        solve_boundary((1, 0, 0), (1, 0, 0), (0, 0, 1), 1.0)
-
-
-def test_singular_boundary_from_assembly_names_u_once(ref_params, monkeypatch):
-    # laplace_assembly adds the context; solve_boundary does not repeat it.
-    monkeypatch.setattr("triporo.model.boundary_vectors",
-                        lambda *args: ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
-    with pytest.raises(ModelError) as info:
-        laplace_assembly(ref_params, 1.0)
-    assert str(info.value).count("u=") == 1
-    assert "(u=1.0, params=TriplePorosityParams(" in str(info.value)
-
-
-def test_solve_boundary_refuses_nan_entry():
-    with pytest.raises(ModelError, match="nan"):
-        solve_boundary((1, 0, 0), (0, math.nan, 0), (0, 0, 1), 1.0)
-
-
-def _boundary_rows(asm):
-    """The scaled boundary rows (P, Q, R) that the assembly's weights solve."""
-    p = asm.params
-    return boundary_vectors(asm.alpha, asm.A, asm.B, *bessel_triples(asm.alpha),
-                            p.kappa_m, p.kappa_f, p.kappa_v)
+    # Removing the implicit e^{-alpha_i}: the unscaled weights (the dump's D
+    # columns) meet the conditions with the unscaled Bessel values.
+    for u in (1e-3, 1.0, 1e3):
+        asm = laplace_assembly(ref_params, u)
+        with mp.workdps(30):
+            D = [d * mp.exp(-mp.mpf(a)) for d, a in zip(asm.D, asm.alpha)]
+        assert max(oracle.boundary_residuals(asm._replace(D_scaled=D))) <= 1e-13
 
 
 def test_boundary_residuals_on_reference_set(ref_params):
-    asm = laplace_assembly(ref_params, 1.0)
-    P, Q, R = _boundary_rows(asm)
-    D = asm.D_scaled
-    assert math.fsum(p * d for p, d in zip(P, D)) == pytest.approx(1.0, rel=1e-10)
-    qd = math.fsum(q * d for q, d in zip(Q, D))
-    rd = math.fsum(r * d for r, d in zip(R, D))
-    scale_q = np.linalg.norm(Q) * np.linalg.norm(D)
-    scale_r = np.linalg.norm(R) * np.linalg.norm(D)
-    assert abs(qd) <= 1e-10 * scale_q
-    assert abs(rd) <= 1e-10 * scale_r
-    # unscaled rows at moderate alpha satisfy the same system
-    P_unscaled = [p * math.exp(-a) for p, a in zip(P, asm.alpha)]
-    assert math.fsum(p * d for p, d in zip(P_unscaled, asm.D)) == pytest.approx(1.0, rel=1e-9)
+    for u in (1e-6, 1e-3, 1e3):
+        assert max(oracle.boundary_residuals(laplace_assembly(ref_params, u))) <= 1e-14, u
 
 
 def test_boundary_condition_number_reasonable(ref_params):
-    M = np.array(_boundary_rows(laplace_assembly(ref_params, 1.0)))
+    with mp.workdps(30):
+        M = np.array(oracle.boundary_rows(laplace_assembly(ref_params, 1.0)), dtype=float)
     assert np.all(np.isfinite(M))
     assert np.linalg.cond(M) < 1e12
 
@@ -469,7 +389,8 @@ def test_wellbore_rejects_bad_u(ref_params):
 @pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf])
 def test_bad_u_is_named_in_one_message(ref_params, bad):
     message = f"Laplace variable u must be a positive finite real, got {float(bad)!r}"
-    for evaluate in (m_terms, laplace_assembly, wellbore_pressure_laplace):
+    for evaluate in (laplace_assembly, wellbore_pressure_laplace,
+                     lambda p, u: field_pressure_laplace(p, u, 1.0)):
         with pytest.raises(ValueError) as err:
             evaluate(ref_params, bad)
         assert str(err.value) == message
@@ -491,12 +412,13 @@ def test_int_and_numpy_u_give_the_float_bits(ref_params):
 ])
 def test_unsolvable_large_u_is_a_root_classification_error(ref_kwargs, betas, u, cause):
     p = TriplePorosityParams(**ref_kwargs).with_betas(*betas)
-    context = re.escape(f"(u={u!r}, params={p!r})")
-    with pytest.raises(ModelError, match=context) as info:
+    with pytest.raises(ModelError) as info:
         wellbore_pressure_laplace(p, u)
-    # The error from alpha_roots is chained, and the arithmetic cause behind it.
-    assert isinstance(info.value.__cause__, RootClassificationError)
-    assert isinstance(info.value.__cause__.__cause__, cause)
+    # The roots' refusal is chained, and the arithmetic cause behind it.
+    arithmetic = getattr(info.value.__cause__, "__cause__", None)
+    assert isinstance(arithmetic, cause)
+    assert str(info.value) == (f"characteristic equation cannot be solved: {arithmetic} "
+                               f"(u={u!r}, params={p!r})")
 
 
 @pytest.mark.parametrize("kwargs, u, message", [
@@ -518,8 +440,9 @@ def test_inadmissible_roots_are_refused_before_the_boundary_solve(kwargs, u, mes
     p = TriplePorosityParams(**kwargs)
     with pytest.raises(ModelError) as info:
         laplace_assembly(p, u)
-    assert isinstance(info.value.__cause__, RootClassificationError)
-    assert message in str(info.value)
+    # The roots' refusal is chained.
+    assert str(info.value.__cause__).startswith("characteristic equation ")
+    assert message in str(info.value.__cause__)
     assert str(info.value).endswith(f"(u={u!r}, params={p!r})")
 
 
@@ -723,19 +646,16 @@ def test_assembly_unscaled_views(ref_params):
 
 
 def test_assembly_extreme_u_stays_finite(ref_params):
-    asm = laplace_assembly(ref_params, 1e6)
-    assert all(math.isfinite(v) for v in asm.D_scaled)
-    assert all(math.isfinite(v) for v in _boundary_rows(asm)[0])
-    pm, pf, pv = asm.wellbore_pressures()
-    assert math.isfinite(pv) and pv > 0.0
+    # alpha > 700 at u = 1e6, with fractional orders alpha_3 ~ 796.
+    for p in (ref_params, ref_params.with_betas(0.9, 0.8, 0.7)):
+        asm = laplace_assembly(p, 1e6)
+        assert all(math.isfinite(v) for v in asm.D_scaled)
+        assert max(oracle.boundary_residuals(asm)) <= 1e-14
+        pv = asm.wellbore_pressures()[2]
+        assert math.isfinite(pv) and pv > 0.0
 
 
 def test_unscaled_weights_overflow_only_past_the_double_range(ref_params):
-    # e^709.5 = 1.35e308 fits in a double; e^710 does not.
-    assert _unscale_weight(1.0, 709.5) == math.exp(709.5)
-    assert _unscale_weight(-1.0, 709.0) == -math.exp(709.0)
-    assert _unscale_weight(1.0, 710.0) == math.inf
-    assert _unscale_weight(0.0, 800.0) == 0.0
     # alpha_3 ~ 796 puts D_3 past the double range; D_1 and D_2 stay finite.
     asm = laplace_assembly(ref_params.with_betas(0.9, 0.8, 0.7), 1e6)
     d0, d1, d2 = asm.D
@@ -933,7 +853,7 @@ def test_laplace_rows_off_the_main_path_go_back_to_the_per_u_chain(p, us, sent_b
 
 
 @pytest.mark.parametrize("kwargs, u", [
-    # solve_cubic_real's divisor 2 p m underflows to 0 while m != 0.
+    # The cubic's divisor 2 p m underflows to 0 while m != 0.
     (dict(omega_f=5.424396922406457e-07, omega_v=0.0012902557757679958,
           kappa_f=7.353521854243767e-110, kappa_v=1.3319874792231334e-59,
           lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0, beta_m=0.5270416213626772,
@@ -956,6 +876,11 @@ def test_laplace_rows_off_the_main_path_go_back_to_the_per_u_chain(p, us, sent_b
           lambda_mf=3.081745491211984e-05, lambda_mv=0.06363558700580584,
           lambda_fv=0.012168199665464285, beta_m=0.6356313983830767,
           beta_f=0.7570846299887063, beta_v=0.8597506213947621), 5e-324),
+    # Three media of equal diffusivity with distinct couplings ~1e-111: the
+    # roots near 1e-105 agree to ~1e-5, so the divisor 2 p m underflows to 0
+    # while m != 0, and the batch's later checks would accept the row.
+    (dict(omega_f=0.3, omega_v=0.3, kappa_f=0.3, kappa_v=0.3,
+          lambda_mf=1e-111, lambda_mv=3e-111, lambda_fv=2e-111), 1e-105),
 ])
 def test_arithmetic_failures_are_model_errors_with_u(kwargs, u):
     p = TriplePorosityParams(**kwargs)

@@ -4,9 +4,14 @@ omega and lambda are drawn from {0} and log-uniformly from [1e-12, 1]; kappa
 log-uniformly from [1e-12, 1] (the model refuses kappa = 0); beta from
 (0, 1]; and u log-uniformly from [1e-12, 1e300].  Every evaluation either
 gives a finite, non-negative p_bar_w or a named model error that carries u.
+A last test checks that the test configuration reports a failing property
+as a failure.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -94,3 +99,31 @@ def test_late_time_curve_is_finite_and_non_decreasing(**kwargs):
                                           log_time_grid(1e-1, 1e30, 1), StehfestScheme(12))]
     assert all(math.isfinite(v) for v in pw)
     assert all(b >= a for a, b in zip(pw, pw[1:]))
+
+
+TWO_TESTS = """\
+from hypothesis import Phase, given, settings, strategies as st
+
+
+@settings(database=None, phases=[Phase.generate])
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_a_failure_and_the_session_goes_on(tmp_path):
+    # Reporting a failing example imports libcst where it is installed, and
+    # libcst 1.0 warns on import; pyproject.toml must keep that warning from
+    # becoming an INTERNALERROR that ends the session.
+    (tmp_path / "test_two.py").write_text(TWO_TESTS)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(config), "--rootdir", str(tmp_path), "test_two.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout

@@ -8,7 +8,16 @@ from triporo.model import characteristic_coefficients, m_terms
 from triporo.roots import (RESIDUAL_TOL, RootClassificationError,
                            alpha_roots, solve_cubic_real)
 
-from conftest import cubic_residual
+
+
+def cubic_residual(c, x: float) -> tuple[float, float]:
+    """The cubic c = (c3, c2, c1, c0) at x, and its largest term's magnitude.
+
+    ``roots.alpha_roots`` bounds the first by RESIDUAL_TOL times the second.
+    """
+    c3, c2, c1, c0 = c
+    return (((c3 * x + c2) * x + c1) * x + c0,
+            max(abs(c3 * x**3), abs(c2 * x**2), abs(c1 * x), abs(c0)))
 
 
 def from_roots(r, c3=1.0):
