@@ -12,9 +12,9 @@ pressures and the unit-rate flux condition give
     p_w = 1 / (u sum_j s_j alpha_j K1(alpha_j) / K0(alpha_j)),
     p_i(r) = p_w sum_j (w_ij / sqrt(kappa_i)) (y.w_j) K0(alpha_j r) / K0(alpha_j).
 
-The float parameters and u are taken as exact; everything runs at the
-caller's ``mp.workdps``, except ``boundary_residuals``, which checks a
-solution against the wellbore conditions at 30 digits.
+The float parameters and u are taken as exact.  Every value holds the
+caller's ``mp.workdps``, as ``modes`` and the Bessel values add the guard
+digits they need, except ``boundary_residuals``, which checks at 30 digits.
 
 It also holds the single-medium fractional solution of order a,
 K0(r z) / (u z K1(z)) with z = sqrt(u^a): the limit the triple-porosity
@@ -23,12 +23,15 @@ model collapses to.
 It also holds the tests' one exact Gaver-Stehfest sum: the textbook
 weights at 50 digits, and the order-n sum (ln 2 / t) sum V_k F(u_k) at
 50 digits over those or any other weights, the package's exact rationals
-included.
+included; and acceptance criterion 2's quadratures of e^x K0 and e^x K1.
 """
 
+import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
+from scipy.integrate import quad
 
 
 def _sqrt_kappa(p):
@@ -36,11 +39,29 @@ def _sqrt_kappa(p):
 
 
 def _bessel_k_scaled(a):
-    """e^a K0(a) and e^a K1(a): mpmath's besselk from a = 60 on; below, where
-    besselk is slow, the ascending series with the digits it cancels added."""
+    """e^a K0(a) and e^a K1(a): below a = 40 the ascending series (A&S 9.6.11
+    and 9.6.13) with the digits it cancels added, from 40 on Steed's CF2 for
+    order 0 (Thompson & Barnett, J. Comput. Phys. 64, 1986), whose term count
+    climbs as a falls.  Near 40 the two cost about the same."""
     a = mp.mpf(a)
-    if a >= 60:
-        return [mp.besselk(n, a) * mp.exp(a) for n in (0, 1)]
+    if a >= 40:
+        with mp.extradps(10):
+            # Steed's method: h sums the continued fraction for K1/K0 and s
+            # the series with e^a K0 = sqrt(pi / 2a) / s, both term by term.
+            b = 2 * (1 + a)
+            d = h = dh = 1 / b
+            c = q = mp.mpf(0.25)
+            q1, q2, s, i = 0, 1, 1 + q * dh, 1
+            while abs(q * dh) >= mp.eps * s:
+                i += 1
+                m = -(i - mp.mpf(0.5)) ** 2
+                c, q1, q2 = -m * c / i, q2, (q1 - b * q2) / m
+                q, b = q + c * q2, b + 2
+                d = 1 / (b + m * d)
+                dh *= b * d - 1
+                h, s = h + dh, s + q * dh
+            k0 = mp.sqrt(mp.pi / (2 * a)) / s
+            return [k0, k0 * (a + mp.mpf(0.5) - h / 4) / a]
     with mp.extradps(int(a) + 10):
         q, lg = a * a / 4, mp.log(a / 2) + mp.euler
         t, h, k, i0, s0, i1, s1 = mp.mpf(1), mp.mpf(0), 0, 0, 0, 0, 0
@@ -53,21 +74,23 @@ def _bessel_k_scaled(a):
 
 
 def modes(p, u):
-    """The ascending (alpha_j, w_j): w_j is the j-th unit eigenvector of T."""
-    u = mp.mpf(u)
-    S = mp.matrix(3, 3)
-    for (i, j), lam in (((0, 1), p.lambda_mf), ((0, 2), p.lambda_mv), ((1, 2), p.lambda_fv)):
-        S[i, j] = S[j, i] = -mp.mpf(lam)
-    for i, (beta, omega) in enumerate(((p.beta_m, p.omega_m), (p.beta_f, p.omega_f),
-                                       (p.beta_v, p.omega_v))):
-        S[i, i] = u ** mp.mpf(beta) * mp.mpf(omega) - sum(S[i, j] for j in range(3) if j != i)
-    y = _sqrt_kappa(p)
-    T = mp.matrix(3, 3)
-    for i in range(3):
-        for j in range(3):
-            T[i, j] = S[i, j] / (y[i] * y[j])
-    x, W = mp.eigsy(T)
-    return [(mp.sqrt(x[j]), [W[i, j] for i in range(3)]) for j in range(3)]
+    """The ascending (alpha_j, w_j): w_j is the j-th unit eigenvector of T.
+
+    T is formed with the digits added that the smallest storage term
+    r_i = u^beta_i omega_i would lose against sum_j lambda_ij in S's
+    diagonal, since the slowest mode rests on the r_i alone.
+    """
+    u, y = mp.mpf(u), _sqrt_kappa(p)
+    r = [u ** mp.mpf(beta) * mp.mpf(omega) for beta, omega in
+         ((p.beta_m, p.omega_m), (p.beta_f, p.omega_f), (p.beta_v, p.omega_v))]
+    lam = [[0] * 3 for _ in range(3)]
+    for (i, j), v in (((0, 1), p.lambda_mf), ((0, 2), p.lambda_mv), ((1, 2), p.lambda_fv)):
+        lam[i][j] = lam[j][i] = mp.mpf(v)
+    lost = max([0] + [mp.log10(sum(row) / ri) for ri, row in zip(r, lam) if ri])
+    with mp.extradps(int(mp.ceil(lost))):
+        x, W = mp.eigsy(mp.matrix([[(r[i] + mp.fsum(lam[i]) if i == j else -lam[i][j])
+                                    / (y[i] * y[j]) for j in range(3)] for i in range(3)]))
+        return [(mp.sqrt(x[j]), [W[i, j] for i in range(3)]) for j in range(3)]
 
 
 def _wellbore_terms(p, u):
@@ -159,3 +182,14 @@ def stehfest_exact(transform, t, weights):
                  * transform(k * ratio) for k, v in enumerate(weights, start=1)]
         return (float(ratio * mp.fsum(terms)),
                 float(ratio * mp.fsum(abs(x) for x in terms)))
+
+
+def _k_scaled_by_quadrature(n, x):
+    # e^x K_n(x) = int_0^inf exp(-x (cosh t - 1)) cosh(n t) dt, integrated
+    # adaptively up to where the integrand underflows.
+    return quad(lambda t: math.exp(-x * (math.cosh(t) - 1.0)) * math.cosh(n * t), 0.0,
+                math.acosh(745.0 / x + 1.0), epsabs=1e-300, epsrel=1.3e-14, limit=400)[0]
+
+
+k0_scaled_oracle = partial(_k_scaled_by_quadrature, 0)
+k1_scaled_oracle = partial(_k_scaled_by_quadrature, 1)

@@ -38,8 +38,8 @@ from triporo.model import TriplePorosityParams, laplace_assembly, wellbore_press
 from triporo.specfun import bessel_k0_scaled, bessel_k1_scaled
 
 from conftest import COLLAPSED, PHYSICAL_KWARGS, REF_KWARGS, ini, read_curve_csv
-from oracle import boundary_residuals, single_medium, stehfest_exact, stehfest_weights_50
-from test_specfun import k0_scaled_oracle, k1_scaled_oracle
+from oracle import (boundary_residuals, k0_scaled_oracle, k1_scaled_oracle, single_medium,
+                    stehfest_exact, stehfest_weights_50)
 
 REF = TriplePorosityParams(**REF_KWARGS)
 BETA_TRIPLES = [(1.0, 1.0, 1.0), (0.9, 0.8, 0.7), (0.77, 0.56, 0.6)]

@@ -11,7 +11,7 @@ import oracle
 
 from triporo import batch, specfun
 from triporo.curves import log_time_grid, pressure_curve
-from triporo.inversion import StehfestScheme, TransformEvaluationError
+from triporo.inversion import StehfestScheme, TransformEvaluationError, invert
 from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
                            field_pressure_laplace, laplace_assembly, to_dimensionless,
                            wellbore_pressure_laplace)
@@ -275,6 +275,13 @@ def test_collapsed_limit_matches_single_medium():
             assert triple == pytest.approx(single, rel=1e-4)
 
 
+def _identical_media(lam, order):
+    third = 1.0 / 3.0
+    return TriplePorosityParams(omega_f=third, omega_v=third, kappa_f=third, kappa_v=third,
+                                lambda_mf=lam, lambda_mv=lam, lambda_fv=lam,
+                                beta_m=order, beta_f=order, beta_v=order)
+
+
 @pytest.mark.xfail(strict=True, raises=(ModelError, AssertionError), reason=(
     "known defect (ROADMAP finding 8): equal media share a decoupled mode, so the "
     "chain finds a complex pair, nearly repeated roots or a singular boundary "
@@ -285,15 +292,26 @@ def test_identical_media_match_single_medium(lam, order):
     # Three identical media carry one pressure, so the couplings do nothing
     # and p_w is the single medium's, from the oracle's Bessel functions.
     # 1e-12 is the README set's pin against the oracle (worst 2.1e-14).
-    third = 1.0 / 3.0
-    p = TriplePorosityParams(omega_f=third, omega_v=third, kappa_f=third, kappa_v=third,
-                             lambda_mf=lam, lambda_mv=lam, lambda_fv=lam,
-                             beta_m=order, beta_f=order, beta_v=order)
+    p = _identical_media(lam, order)
     for u in np.logspace(-8, 8, 161):
         got = wellbore_pressure_laplace(p, float(u))
         with mp.workdps(20):
             expected = float(oracle.single_medium(order, float(u)))
         assert got == pytest.approx(expected, rel=1e-12, abs=0), u
+
+
+@pytest.mark.xfail(strict=True, raises=TransformEvaluationError, reason=(
+    "known defect (ROADMAP finding 8): the curve fails at its first node, u = 69.31 (t = 0.01)"))
+@pytest.mark.parametrize("order", [1.0, 0.8])
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0])
+def test_identical_media_curve_matches_single_medium(lam, order):
+    # The single medium's curve is the same inversion of the oracle's p_w.
+    grid, scheme = log_time_grid(1e-2, 1e8, 10), StehfestScheme.of_order(12)
+    curve = pressure_curve(_identical_media(lam, order), grid, scheme)
+    with mp.workdps(20):
+        for t, point in zip(grid, curve):
+            expected = invert(lambda u: float(oracle.single_medium(order, u)), t, scheme)
+            assert point.p_w == pytest.approx(expected, rel=1e-9, abs=0), t
 
 
 def _equal_media_refused(where):
@@ -348,15 +366,17 @@ def test_fractional_orders_against_closed_form(ref_params, betas):
 
 
 def test_oracle_agrees_with_itself_across_precisions(ref_params):
-    # p_w and alpha at 40 digits against 60; alpha_3 > 700 at u = 1e6.
-    p = ref_params.with_betas(0.9, 0.8, 0.7)
-    for u in (1e-6, 1.0, 1e6):
+    # p_w and alpha at 40 digits against 140: alpha_3 > 700 at u = 1e6, and
+    # from u = 1e-20 on, the classic orders' smallest storage term falls 19
+    # to 79 digits under its couplings, which the oracle must not round away.
+    for betas, u in [*(((0.9, 0.8, 0.7), u) for u in (1e-6, 1.0, 1e6)),
+                     *(((1.0, 1.0, 1.0), u) for u in (1e-20, 1e-40, 1e-60, 1e-80))]:
+        p = ref_params.with_betas(*betas)
         values = []
-        for dps in (40, 60):
+        for dps in (40, 140):
             with mp.workdps(dps):
                 values.append([oracle.wellbore(p, u), *(a for a, _ in oracle.modes(p, u))])
-        with mp.workdps(60):
-            assert all(abs(a - b) <= 1e-30 * b for a, b in zip(*values)), u
+        assert all(abs(a - b) <= 1e-30 * b for a, b in zip(*values)), (betas, u)
 
 
 def test_classic_betas_share_the_fractional_path(ref_params):
