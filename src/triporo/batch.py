@@ -9,9 +9,10 @@ does only +, -, *, /, sqrt, abs, copysign and comparisons, which round as
 Python's floats do; ``**``, acos and cos run per element on Python floats,
 through libm as in the chain, because numpy's vectorised versions round
 differently on some inputs.  ``math.fsum`` forms each row's sums.  Only
-stages that would cost too much per row are copied: the boundary rows are
-``model.boundary_vectors`` on columns, and ``specfun``'s Bessel names and
-``model._unscale_weight`` run per element.
+stages that would cost too much per row are copied, ``model._mode`` (each
+root's Newton steps and null direction) as ``_mode_rows`` among them: the
+boundary rows are ``model.boundary_vectors`` on columns, and ``specfun``'s
+Bessel names and ``model._unscale_weight`` run per element.
 """
 
 import math
@@ -107,12 +108,9 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
                        abs(c1[r] * xs), abs(c0[r]))
     bad[r[~(res[r, j] <= roots.RESIDUAL_TOL * scale)]] = True
 
-    # _refine_root from each alpha squared, then _modal_from_x.
+    # model._mode on each root.
     mcol = (m1[:, None], lmf, lmv, m4[:, None], lfv, m6[:, None])
-    a = np.sqrt(x)
-    x = _refine_rows(a * a, mcol, km, kf, kv)
-    alpha = np.sqrt(x)
-    A, B, refused = _modal_rows(x, mcol, km, kf, kv)
+    alpha, A, B, refused = _mode_rows(np.sqrt(x), mcol, km, kf, kv)
     bad |= refused.any(axis=1)
 
     # The chain's Bessel values and rows; solve_boundary, wellbore_pressures.
@@ -186,32 +184,24 @@ def _polish_rows(c, x):
     return x
 
 
-def _refine_rows(x, m, kappa_m: float, kappa_f: float, kappa_v: float):
-    """``_refine_root`` on every entry of x; an entry stops where the scalar loop breaks."""
+def _mode_rows(alpha, m, kappa_m: float, kappa_f: float, kappa_v: float):
+    """``model._mode`` on every entry of alpha, an entry's steps stopping where
+    the scalar loop breaks: (alpha, A, B) and where it refuses."""
     m1, m2, m3, m4, m5, m6 = m
-    go = np.ones(x.shape, dtype=bool)
-    for _ in range(3):
+    m22, m33, m55 = m2 * m2, m3 * m3, m5 * m5
+    x, go = alpha * alpha, np.ones(alpha.shape, dtype=bool)
+    for step in range(4):
         d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
-        a00 = d1 * d2 - m5 * m5
-        f = d0 * a00 + m2 * (m3 * m5 - m2 * d2) + m3 * (m2 * m5 - m3 * d1)
-        fp = kappa_m * a00 + kappa_f * (d0 * d2 - m3 * m3) + kappa_v * (d0 * d1 - m2 * m2)
-        xn = x - f / fp
+        a00, a11, a22 = d1 * d2 - m55, d0 * d2 - m33, d0 * d1 - m22
+        a01, a02, a12 = m3 * m5 - m2 * d2, m2 * m5 - m3 * d1, m2 * m3 - d0 * m5
+        if step == 3 or not go.any():
+            break
+        fp = kappa_m * a00 + kappa_f * a11 + kappa_v * a22
+        xn = x - (d0 * a00 + m2 * a01 + m3 * a02) / fp
         go &= (fp != 0.0) & (xn > 0.0) & np.isfinite(xn)
         converged = abs(xn - x) <= 4e-16 * abs(x)
         x = np.where(go, xn, x)
         go &= ~converged
-        if not go.any():
-            break
-    return x
-
-
-def _modal_rows(x, m, kappa_m: float, kappa_f: float, kappa_v: float):
-    """``_modal_from_x`` on every entry of x: (A, B) and where it refuses."""
-    m1, m2, m3, m4, m5, m6 = m
-    m22, m33, m55 = m2 * m2, m3 * m3, m5 * m5
-    d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
-    a00, a11, a22 = d1 * d2 - m55, d0 * d2 - m33, d0 * d1 - m22
-    a01, a02, a12 = m3 * m5 - m2 * d2, m2 * m5 - m3 * d1, m2 * m3 - d0 * m5
     n0 = np.sqrt(d0 * d0 + m22 + m33)
     n1 = np.sqrt(m22 + d1 * d1 + m55)
     n2 = np.sqrt(m33 + m55 + d2 * d2)
@@ -225,7 +215,7 @@ def _modal_rows(x, m, kappa_m: float, kappa_f: float, kappa_v: float):
         pick = mag_col > mag
         n = tuple(np.where(pick, c, v) for c, v in zip(col, n))
         mag = np.where(pick, mag_col, mag)
+    # A zero n[2] leaves a or b inf or nan, so it needs no mask of its own.
     a, b = n[0] / n[2], n[1] / n[2]
-    refused = ((mag <= model.RANK_TOL * scale) | (n[2] == 0.0)
-               | ~(np.isfinite(a) & np.isfinite(b)))
-    return a, b, refused
+    refused = (mag <= model.RANK_TOL * scale) | ~(np.isfinite(a) & np.isfinite(b))
+    return np.sqrt(x), a, b, refused

@@ -207,49 +207,38 @@ def characteristic_coefficients(m: tuple[float, ...], kappa_m: float, kappa_f: f
          + 2.0 * m2 * m3 * m5 + m3 * m3 * m4))
 
 
-def _refine_root(x: float, m: tuple[float, ...], kappa_m: float, kappa_f: float,
-                 kappa_v: float) -> float:
-    """Newton steps on det(M(x)) directly.
+def _mode(alpha: float, m: tuple[float, ...], kappa_m: float, kappa_f: float,
+          kappa_v: float) -> tuple[float, float, float]:
+    """(alpha, A, B) of the root seeded by alpha: up to three Newton steps
+    on det M(x) from x = alpha^2, then the null direction (A, B, 1) of M(x).
 
-    The expanded cubic's coefficients carry rounding noise that shifts its
-    roots off the true determinant zero; refining against the assembled
-    matrix keeps the null-space extraction residual at machine level.
-    """
-    m1, m2, m3, m4, m5, m6 = m
-    for _ in range(3):
-        d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
-        a00 = d1 * d2 - m5 * m5
-        # det M is row 0 times adjugate column 0; d det/dx is kappa . adj M's diagonal.
-        f = d0 * a00 + m2 * (m3 * m5 - m2 * d2) + m3 * (m2 * m5 - m3 * d1)
-        fp = kappa_m * a00 + kappa_f * (d0 * d2 - m3 * m3) + kappa_v * (d0 * d1 - m2 * m2)
-        if fp == 0.0:
-            break
-        xn = x - f / fp
-        if xn <= 0.0 or not math.isfinite(xn):
-            break
-        converged = abs(xn - x) <= 4e-16 * abs(x)
-        x = xn
-        if converged:
-            break
-    return x
-
-
-def _modal_from_x(x: float, m: tuple[float, ...], kappa_m: float, kappa_f: float,
-                  kappa_v: float) -> tuple[float, float]:
-    """(A, B) from the null direction of the (rank-2) modal matrix M(x).
-
-    M(x) has rows (d0, m2, m3), (m2, d1, m5), (m3, m5, d2) with
-    d = kappa x - (m1, m4, m6).  Column j of adj M(x) is the cross product of
-    the two rows other than j, and adj M is symmetric.  The adjugate columns
-    of a rank-2 matrix are parallel copies of the null vector scaled by its
-    own components; the largest one is the best conditioned.  Ties go to the
-    column from rows (0, 1), then (0, 2).
+    M(x) has rows (d0, m2, m3), (m2, d1, m5), (m3, m5, d2) with d = kappa x
+    - (m1, m4, m6); the minors a_ij of its symmetric adjugate are formed
+    once per x.  det M = d0 a00 + m2 a01 + m3 a02 and d det/dx = kappa .
+    diag(adj M): stepping on the assembled matrix, not on the cubic's
+    rounded coefficients, keeps the null-space residual at machine level.
+    The adjugate columns of a rank-2 M are parallel copies of the null
+    vector; the largest is the best conditioned, ties going to column 2,
+    then column 1.
     """
     m1, m2, m3, m4, m5, m6 = m
     m22, m33, m55 = m2 * m2, m3 * m3, m5 * m5
-    d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
-    a00, a11, a22 = d1 * d2 - m55, d0 * d2 - m33, d0 * d1 - m22
-    a01, a02, a12 = m3 * m5 - m2 * d2, m2 * m5 - m3 * d1, m2 * m3 - d0 * m5
+    x, steps = alpha * alpha, 3
+    while True:
+        d0, d1, d2 = kappa_m * x - m1, kappa_f * x - m4, kappa_v * x - m6
+        a00, a11, a22 = d1 * d2 - m55, d0 * d2 - m33, d0 * d1 - m22
+        a01, a02, a12 = m3 * m5 - m2 * d2, m2 * m5 - m3 * d1, m2 * m3 - d0 * m5
+        if not steps:
+            break
+        fp = kappa_m * a00 + kappa_f * a11 + kappa_v * a22
+        if fp == 0.0:
+            break
+        xn = x - (d0 * a00 + m2 * a01 + m3 * a02) / fp
+        if xn <= 0.0 or not math.isfinite(xn):
+            break
+        # A converged step still forms the minors at its x.
+        steps = 0 if abs(xn - x) <= 4e-16 * abs(x) else steps - 1
+        x = xn
     n0 = math.sqrt(d0 * d0 + m22 + m33)
     n1 = math.sqrt(m22 + d1 * d1 + m55)
     n2 = math.sqrt(m33 + m55 + d2 * d2)
@@ -281,7 +270,7 @@ def _modal_from_x(x: float, m: tuple[float, ...], kappa_m: float, kappa_f: float
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ModelError(
             f"normalization to C=1 overflows for null direction {n!r} at x={x!r}")
-    return a, b
+    return math.sqrt(x), a, b
 
 
 def boundary_vectors(alpha, A, B, k0, k1, kappa_m: float, kappa_f: float,
@@ -411,14 +400,10 @@ def laplace_assembly(p: TriplePorosityParams, u: float) -> LaplaceAssembly:
     km = 1.0 - kf - kv
     try:
         r0, r1, r2 = alpha_roots(characteristic_coefficients(m, km, kf, kv))
-        x0 = _refine_root(r0 * r0, m, km, kf, kv)
-        x1 = _refine_root(r1 * r1, m, km, kf, kv)
-        x2 = _refine_root(r2 * r2, m, km, kf, kv)
-        alpha = a0, a1, a2 = (math.sqrt(x0), math.sqrt(x1), math.sqrt(x2))
-        A0, B0 = _modal_from_x(x0, m, km, kf, kv)
-        A1, B1 = _modal_from_x(x1, m, km, kf, kv)
-        A2, B2 = _modal_from_x(x2, m, km, kf, kv)
-        A, B = (A0, A1, A2), (B0, B1, B2)
+        a0, A0, B0 = _mode(r0, m, km, kf, kv)
+        a1, A1, B1 = _mode(r1, m, km, kf, kv)
+        a2, A2, B2 = _mode(r2, m, km, kf, kv)
+        alpha, A, B = (a0, a1, a2), (A0, A1, A2), (B0, B1, B2)
         k0, k1 = specfun.bessel_k0_scaled, specfun.bessel_k1_scaled
         D = solve_boundary(*boundary_vectors(alpha, A, B, (k0(a0), k0(a1), k0(a2)),
                                              (k1(a0), k1(a1), k1(a2)), km, kf, kv), u)

@@ -901,6 +901,9 @@ def test_laplace_rows_off_the_main_path_go_back_to_the_per_u_chain(p, us, sent_b
     # while m != 0, and the batch's later checks would accept the row.
     (dict(omega_f=0.3, omega_v=0.3, kappa_f=0.3, kappa_v=0.3,
           lambda_mf=1e-111, lambda_mv=3e-111, lambda_fv=2e-111), 1e-105),
+    # kappa_f = kappa_v = 1e-151: the cubic's leading coefficient ~1e-302
+    # is degenerate, so the batch sends every row back.
+    (dict(REF_KWARGS, kappa_f=1e-151, kappa_v=1e-151), 1.0),
 ])
 def test_arithmetic_failures_are_model_errors_with_u(kwargs, u):
     p = TriplePorosityParams(**kwargs)
