@@ -83,21 +83,19 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
         x1 = np.where(abs(xk) > abs(x1), xk, x1)
     x1 = _polish_rows((c3, c2, c1, c0), x1)
 
-    # Deflation by the Vieta forms, with x1 dominant; x1 = 0, the other
-    # form of q1, q1 = 0 and qq = 0 go to the chain.
+    # Deflation by the Vieta forms with x1 dominant, which x1 = 0 is not; the
+    # other form of q1 and q1 = 0 go to the chain, and qq = 0 gives a root 0.
     q0 = -c0 / x1
-    bad |= (x1 == 0.0) | ~(x1 * x1 * abs(c3) >= abs(q0))
+    bad |= ~(x1 * x1 * abs(c3) >= abs(q0))
     q1 = (q0 - c1) / x1
     disc2 = q1 * q1 - 4.0 * c3 * q0
     bad |= (q1 == 0.0) | ~(disc2 >= 0.0)
     qq = -0.5 * (q1 + np.copysign(np.sqrt(disc2), q1))
-    bad |= qq == 0.0
     col = (c3, c2[:, None], c1[:, None], c0[:, None])
     pair = _polish_rows(col, np.column_stack((qq / c3, q0 / qq)))
     x = np.sort(np.column_stack((x1, pair)), axis=1)
 
-    # alpha_roots' checks, its residual bound's slow form on the roots that
-    # miss the fast one.
+    # alpha_roots' checks; the residual bound's slow form where the fast one misses.
     x0, x1, x2 = x.T
     bad |= ~((x0 > 0.0) & (x1 > 0.0) & (x2 > 0.0))
     bad |= ~((x1 - x0 > roots.REPEAT_TOL * x1) & (x2 - x1 > roots.REPEAT_TOL * x2))
@@ -120,11 +118,9 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
         alpha.T, A.T, B.T, k0.T, k1.T, km, kf, kv)
     t = np.column_stack((q0 * r1 * p2, -q0 * p1 * r2, -r0 * q1 * p2,
                          -r1 * p0 * q2, p1 * r0 * q2, p0 * q1 * r2))
-    bad |= ~np.isfinite(t).all(axis=1)
-    det = _each(math.fsum, t)
+    det = _each(math.fsum, t)  # inf or nan where t is not finite
     bad |= ~(abs(det) > model.SINGULAR_TOL * abs(t).max(axis=1))
     ud = u * det
-    bad |= ud == 0.0
     D = np.column_stack(((q1 * r2 - q2 * r1) / ud, (q2 * r0 - q0 * r2) / ud,
                          (q0 * r1 - q1 * r0) / ud))
     pv = _each(math.fsum, D * k0)
@@ -132,8 +128,9 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
     tol = model.CONSISTENCY_TOL * abs(pv)
     bad |= ~((abs(pm - pv) <= tol) & (abs(pf - pv) <= tol))
     unscaled = _each(model._unscale_weight, D.ravel(), alpha.ravel()).reshape(D.shape)
-    # Only the unscaled D may overflow, as the chain's does past alpha ~ 709.
-    bad |= ~np.isfinite(np.column_stack((m1, m4, m6, alpha, A, B, D, pv))).all(axis=1)
+    # Any non-finite stage shows here or, for m1, m4 and m6, in c2; only the
+    # unscaled D may overflow, as the chain's does past alpha ~ 709.
+    bad |= ~np.isfinite(np.column_stack((alpha, A, B, D, pv))).all(axis=1)
     columns = [ul, m1.tolist(), float(lmf), float(lmv), m4.tolist(), float(lfv), m6.tolist(),
                *alpha.T.tolist(), *A.T.tolist(), *B.T.tolist(), *unscaled.T.tolist(), pv.tolist()]
     return columns, np.flatnonzero(bad).tolist()

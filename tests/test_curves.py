@@ -1,12 +1,16 @@
 import json
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import oracle
+
 from triporo.curves import (CSV_HEADER, CurvePoint, bourdet_derivative,
                             log_time_grid, pressure_curve, write_curve)
-from triporo.inversion import StehfestScheme, TransformEvaluationError
+from triporo.inversion import StehfestScheme, TransformEvaluationError, stehfest_weights_exact
 from triporo.model import TriplePorosityParams
 
 from conftest import LATE_TIME_DEFECT, read_curve_csv
@@ -136,6 +140,58 @@ def test_fractional_late_time_derivative_plateau(ref_params, t):
     pts = pressure_curve(ref_params.with_betas(0.9, 0.8, 0.7), log_time_grid(1e13, 1e21, 2),
                          StehfestScheme(12))
     assert {pt.t_D: pt.dp_w_dlnt for pt in pts}[t] == pytest.approx(0.35, abs=1e-3)
+
+
+def _media(p):
+    """(omega_i, kappa_i, beta_i, Lambda_i) of matrix, fracture and vugs, with
+    Lambda_i the sum of medium i's couplings."""
+    return ((p.omega_m, p.kappa_m, p.beta_m, p.lambda_mf + p.lambda_mv),
+            (p.omega_f, p.kappa_f, p.beta_f, p.lambda_mf + p.lambda_fv),
+            (p.omega_v, p.kappa_v, p.beta_v, p.lambda_mv + p.lambda_fv))
+
+
+def _commingled(p, u):
+    """The lambda = 0 transform 1 / (u sum_i kappa_i g(alpha_i)), g(a) = a K1(a) / K0(a)
+    and alpha_i^2 = u^beta_i omega_i / kappa_i, from the oracle's Bessel values."""
+    total = 0
+    for omega, kappa, order, _ in _media(p):
+        a = mp.sqrt(u ** mp.mpf(order) * omega / kappa)
+        k0, k1 = oracle._bessel_k_scaled(a)
+        total += kappa * a * k1 / k0
+    return 1 / (u * total)
+
+
+def _coupling_share(p, u):
+    """delta(u) = max_i Lambda_i / (u^beta_i omega_i): the couplings' share of the storage."""
+    return max(lam / (u ** mp.mpf(order) * omega) for omega, _, order, lam in _media(p))
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("betas", [(1.0, 1.0, 1.0), (0.9, 0.8, 0.7), (0.77, 0.56, 0.6)])
+def test_early_time_curve_tends_to_the_commingled_curve(ref_params, betas, t):
+    """As t -> 0 the couplings have not acted yet, so p_w tends to the commingled
+    (lambda = 0) curve, inverted here by the same order-12 sum at 50 digits.
+
+    The bound follows from lambda and t.  p_bar_w = 1 / (u y^T h(T) y) with
+    y = sqrt(kappa), T = K^-1/2 (diag(u^beta_i omega_i) + L) K^-1/2, L the
+    couplings' Laplacian and h(x) = sqrt(x) K1(sqrt x) / K0(sqrt x), whose
+    h(x)/x is a Stieltjes function (Ismail, Canad. J. Math. 29, 1977): h is
+    operator monotone, concave and h(0+) = 0.  As 0 <= L <= 2 diag(Lambda_i),
+    T lies between its lambda = 0 value T0 and (1 + 2 delta) T0, so
+    0 <= p_bar_0 - p_bar_w <= 2 delta p_bar_0 at each node u_k = k ln 2 / t.
+    The two sums then differ by at most (ln 2 / t) sum_k |V_k| 2 delta(u_k)
+    p_bar_0(u_k).  The double path adds its cancellation bound 4 eps and the
+    chain's 1e-12 pin against the oracle, each times (ln 2 / t) sum_k |V_k|
+    p_bar_0(u_k).
+    """
+    p = ref_params.with_betas(*betas)
+    weights = stehfest_weights_exact(12)
+    commingled, spread = oracle.stehfest_exact(lambda u: _commingled(p, u), t, weights)
+    _, coupled_spread = oracle.stehfest_exact(
+        lambda u: _coupling_share(p, u) * _commingled(p, u), t, weights)
+    bound = 2.0 * coupled_spread + (4.0 * sys.float_info.epsilon + 1e-12) * spread
+    pw = pressure_curve(p, [t], StehfestScheme(12))[0].p_w
+    assert abs(pw - commingled) <= bound
 
 
 def test_pressure_curve_classic_monotone(ref_params):

@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -18,7 +17,7 @@ from triporo.model import (ModelError, PhysicalParams, TriplePorosityParams,
 from triporo.specfun import bessel_k0_scaled
 
 from conftest import (COLLAPSED, REF_KWARGS, SYMMETRIC_KWARGS, column_rows, hex_rows,
-                      laplace_dump_rows)
+                      laplace_dump_rows, run_laplace)
 
 # The README set with every coupling exactly zero.
 UNCOUPLED = TriplePorosityParams(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0))
@@ -872,49 +871,68 @@ def test_laplace_rows_off_the_main_path_go_back_to_the_per_u_chain(p, us, sent_b
     assert sent == sent_back
 
 
-@pytest.mark.parametrize("kwargs, u", [
-    # The cubic's divisor 2 p m underflows to 0 while m != 0.
-    (dict(omega_f=5.424396922406457e-07, omega_v=0.0012902557757679958,
-          kappa_f=7.353521854243767e-110, kappa_v=1.3319874792231334e-59,
-          lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0, beta_m=0.5270416213626772,
-          beta_f=1.0, beta_v=0.8848375860528052), 5.066771200579466e-277),
-    # The boundary determinant's six terms hold -inf and inf.
-    (dict(omega_f=2.807369247383324e-09, omega_v=4.3156592554865416e-05,
-          kappa_f=8.21670284605342e-28, kappa_v=2.352435256169442e-62,
-          lambda_mf=3.688777503498572e-24, lambda_mv=0.0, lambda_fv=3.850236278264769e-205,
-          beta_m=0.6693645484831208, beta_f=0.5620748538618672, beta_v=0.508609736583612),
-     2.8671908457743297e-28),
-    # The modal sums' products hold -inf and inf.
-    (dict(omega_f=0.0, omega_v=0.0, kappa_f=9.22540303806144e-39,
-          kappa_v=6.9380627878849645e-46, lambda_mf=6.369217942903918e-59,
-          lambda_mv=2.0949221967210737e-295, lambda_fv=8.432992746012543e-51,
-          beta_m=0.9268153027878444, beta_f=0.9264954051760612, beta_v=0.43213307777775584),
-     5e-324),
-    # u * det underflows to 0 at a subnormal u.
-    (dict(omega_f=4.4212785368294e-10, omega_v=5.274118953973973e-10,
-          kappa_f=2.2933691229304738e-10, kappa_v=2.8345254410225023e-10,
-          lambda_mf=3.081745491211984e-05, lambda_mv=0.06363558700580584,
-          lambda_fv=0.012168199665464285, beta_m=0.6356313983830767,
-          beta_f=0.7570846299887063, beta_v=0.8597506213947621), 5e-324),
-    # Three media of equal diffusivity with distinct couplings ~1e-111: the
-    # roots near 1e-105 agree to ~1e-5, so the divisor 2 p m underflows to 0
-    # while m != 0, and the batch's later checks would accept the row.
-    (dict(omega_f=0.3, omega_v=0.3, kappa_f=0.3, kappa_v=0.3,
-          lambda_mf=1e-111, lambda_mv=3e-111, lambda_fv=2e-111), 1e-105),
-    # kappa_f = kappa_v = 1e-151: the cubic's leading coefficient ~1e-302
-    # is degenerate, so the batch sends every row back.
-    (dict(REF_KWARGS, kappa_f=1e-151, kappa_v=1e-151), 1.0),
-])
-def test_arithmetic_failures_are_model_errors_with_u(kwargs, u):
+# Each refusal of the Laplace chain that an admissible input reaches, and its message's start.
+CUBIC = "characteristic equation cannot be solved: "
+REFUSALS = {
+    "cubic-2pm-underflows": (dict(
+        omega_f=5.424396922406457e-07, omega_v=0.0012902557757679958,
+        kappa_f=7.353521854243767e-110, kappa_v=1.3319874792231334e-59, lambda_mf=0.0,
+        lambda_mv=0.0, lambda_fv=0.0, beta_m=0.5270416213626772, beta_f=1.0,
+        beta_v=0.8848375860528052), 5.066771200579466e-277, CUBIC + "float division by zero"),
+    "det-terms-inf": (dict(
+        omega_f=2.807369247383324e-09, omega_v=4.3156592554865416e-05, kappa_f=8.21670284605342e-28,
+        kappa_v=2.352435256169442e-62, lambda_mf=3.688777503498572e-24, lambda_mv=0.0,
+        lambda_fv=3.850236278264769e-205, beta_m=0.6693645484831208, beta_f=0.5620748538618672,
+        beta_v=0.508609736583612), 2.8671908457743297e-28, "arithmetic failed: -inf + inf in fsum"),
+    "modal-sums-inf": (dict(
+        omega_f=0.0, omega_v=0.0, kappa_f=9.22540303806144e-39, kappa_v=6.9380627878849645e-46,
+        lambda_mf=6.369217942903918e-59, lambda_mv=2.0949221967210737e-295,
+        lambda_fv=8.432992746012543e-51, beta_m=0.9268153027878444, beta_f=0.9264954051760612,
+        beta_v=0.43213307777775584), 5e-324, "modal sums failed: -inf + inf in fsum"),
+    "u-det-underflows": (dict(
+        omega_f=4.4212785368294e-10, omega_v=5.274118953973973e-10, kappa_f=2.2933691229304738e-10,
+        kappa_v=2.8345254410225023e-10, lambda_mf=3.081745491211984e-05,
+        lambda_mv=0.06363558700580584, lambda_fv=0.012168199665464285, beta_m=0.6356313983830767,
+        beta_f=0.7570846299887063, beta_v=0.8597506213947621), 5e-324,
+        "arithmetic failed: float division by zero"),
+    "equal-diffusivities-2pm-underflows": (dict(
+        omega_f=0.3, omega_v=0.3, kappa_f=0.3, kappa_v=0.3, lambda_mf=1e-111, lambda_mv=3e-111,
+        lambda_fv=2e-111), 1e-105, CUBIC + "float division by zero"),
+    "c3-degenerate": (dict(REF_KWARGS, kappa_f=1e-151, kappa_v=1e-151), 1.0,
+                      CUBIC + "degenerate leading coefficient"),
+    "triple-equality": (dict(
+        omega_f=0.25, omega_v=0.5, kappa_f=0.25, kappa_v=0.5, lambda_mf=1e-116, lambda_mv=3e-116,
+        lambda_fv=2e-116), 1e-107, "wellbore pressure triple equality violated"),
+    "decoupled-medium": (dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0), 1.0,
+                         "null direction (0.0, 0.1390006044444444, 0.0)"),
+    "rank-below-2": (dict(REF_KWARGS, lambda_mf=0.0, lambda_fv=0.0), 1e-20,
+                     "modal matrix has rank < 2"),
+    "cubic-overflows": (REF_KWARGS, 1e51, CUBIC + "(34,"),
+    "no-matrix-storage": (dict(
+        omega_f=0.5, omega_v=0.5, kappa_f=0.3, kappa_v=0.3, lambda_mf=1.0, lambda_mv=1.0,
+        lambda_fv=1.0), 1e27, "characteristic equation has nearly repeated roots"),
+    "cubic-non-finite": (REF_KWARGS, 1e200, CUBIC + "cubic coefficients must be finite"),
+}
+
+
+@pytest.mark.parametrize("kwargs, u, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_each_refusal_is_one_model_error_at_every_layer(tmp_path, capsys, kwargs, u, message):
     p = TriplePorosityParams(**kwargs)
-    with pytest.raises(ModelError) as expected:
+    with pytest.raises(ModelError) as chain:
         wellbore_pressure_laplace(p, u)
+    text = str(chain.value)
+    assert text.startswith(message) and text.count(f"(u={u!r}, params=") == 1
     with pytest.raises(ModelError) as got:
         batch.laplace_columns(p, [u])
-    assert str(got.value) == str(expected.value)
-    assert f"u={u!r}" in str(expected.value)
-    with pytest.raises(ModelError, match=re.escape(f"u={u!r}")):
-        field_pressure_laplace(p, u, 1.0)
+    assert str(got.value) == text
+    assert run_laplace(tmp_path, p, {"u_values": u}) == (2, "")
+    assert capsys.readouterr().err == f"model error: {text}\n"
+    if message == "wellbore pressure triple equality violated":
+        field_pressure_laplace(p, u, 1.0)  # the field pressures make no such check
+    else:
+        with pytest.raises(ModelError) as field:
+            field_pressure_laplace(p, u, 1.0)
+        assert str(field.value) == text
 
 
 @pytest.mark.parametrize("u", [-1.0, 0.0, math.nan, math.inf])

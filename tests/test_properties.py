@@ -4,6 +4,8 @@ omega and lambda are drawn from {0} and log-uniformly from [1e-12, 1]; kappa
 log-uniformly from [1e-12, 1] (the model refuses kappa = 0); beta from
 (0, 1]; and u log-uniformly from [1e-12, 1e300].  Every evaluation either
 gives a finite, non-negative p_bar_w or a named model error that carries u.
+The first test also draws fracture and vugs tied: omega_v/kappa_v =
+omega_f/kappa_f with kappa_v = 2^k kappa_f (|k| <= 12), and beta_v = beta_f.
 A last test checks that the test configuration reports a failing property
 as a failure.
 """
@@ -28,19 +30,24 @@ log_unit = st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)
 zero_or_log_unit = st.one_of(st.just(0.0), log_unit)
 beta = st.floats(0.0, 1.0, exclude_min=True)
 log_u = st.floats(-12.0, 300.0).map(lambda e: 10.0 ** e)
+media = st.fixed_dictionaries(dict(
+    omega_f=zero_or_log_unit, omega_v=zero_or_log_unit, kappa_f=log_unit, kappa_v=log_unit,
+    lambda_mf=zero_or_log_unit, lambda_mv=zero_or_log_unit, lambda_fv=zero_or_log_unit,
+    beta_m=beta, beta_f=beta, beta_v=beta))
+# Fracture and vugs of equal omega/kappa and beta share a mode that only
+# lambda splits (ROADMAP finding 8); a power of two apart, the tie is exact.
+tied_media = st.builds(lambda kw, k: dict(kw, omega_v=kw["omega_f"] * 2.0 ** k,
+                                          kappa_v=kw["kappa_f"] * 2.0 ** k, beta_v=kw["beta_f"]),
+                       media, st.integers(-12, 12))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(omega_f=zero_or_log_unit, omega_v=zero_or_log_unit,
-       kappa_f=log_unit, kappa_v=log_unit,
-       lambda_mf=zero_or_log_unit, lambda_mv=zero_or_log_unit,
-       lambda_fv=zero_or_log_unit,
-       beta_m=beta, beta_f=beta, beta_v=beta, u=log_u)
+@given(kwargs=st.one_of(media, tied_media), u=log_u)
 # All couplings zero: the null direction of a decoupled medium cannot be
 # normalized.
-@example(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0),
-         beta_m=1.0, beta_f=1.0, beta_v=1.0, u=1.0)
-def test_wellbore_pressure_is_finite_or_a_named_error_with_u(u, **kwargs):
+@example(kwargs=dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0,
+                     beta_m=1.0, beta_f=1.0, beta_v=1.0), u=1.0)
+def test_wellbore_pressure_is_finite_or_a_named_error_with_u(kwargs, u):
     assume(kwargs["omega_f"] + kwargs["omega_v"] <= 1.0)
     assume(kwargs["kappa_f"] + kwargs["kappa_v"] < 1.0)
     p = TriplePorosityParams(**kwargs)
