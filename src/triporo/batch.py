@@ -60,17 +60,16 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
     m6 = _each(pow, ul, p.beta_v) * p.omega_v + lmv + lfv
     c3, c2, c1, c0 = model.characteristic_coefficients((m1, lmf, lmv, m4, lfv, m6), km, kf, kv)
 
-    # roots.solve_cubic_real: the trigonometric seed x1 with m != 0.  A nan
-    # from _each is a power that raised, and a non-finite disc covers every
-    # non-finite b, p or q.  Cardano's seed (disc > 0) and den == 0, which
-    # covers m = 0 and a den that underflows, go to the chain.
-    if not (math.isfinite(c3) and abs(c3) > 1e-300):
+    # roots.solve_cubic_real: the trigonometric seed x1 with m != 0.  With c3 in (1e-300, 1), a
+    # non-finite coefficient, b, p or q, or a nan from _each (a power that raised), leaves disc
+    # non-finite.  Cardano's seed (disc > 0) and den == 0 (m = 0 or an underflow) go to the chain.
+    if not c3 > 1e-300:  # c3 = kappa_m kappa_f kappa_v is finite and >= 0
         bad[:] = True
     b = c2 / c3
     pc = c1 / c3 - b * b / 3.0
     q = c0 / c3 - b * (c1 / c3) / 3.0 + 2.0 * _each(pow, b, 3) / 27.0
     disc = _each(pow, q / 2.0, 2) + _each(pow, pc / 3.0, 3)
-    bad |= ~(np.isfinite(c2) & np.isfinite(c1) & np.isfinite(c0) & np.isfinite(disc))
+    bad |= ~np.isfinite(disc)
     shift = -b / 3.0
     m = np.sqrt(_first_max(-pc / 3.0, 0.0))
     den = 2.0 * pc * m
@@ -83,13 +82,14 @@ def _laplace_table(p, us) -> tuple[list, list[int]]:
         x1 = np.where(abs(xk) > abs(x1), xk, x1)
     x1 = _polish_rows((c3, c2, c1, c0), x1)
 
-    # Deflation by the Vieta forms with x1 dominant, which x1 = 0 is not; the
-    # other form of q1 and q1 = 0 go to the chain, and qq = 0 gives a root 0.
+    # Deflation by the Vieta forms with x1 dominant, which x1 = 0 is not; the other form of q1 and
+    # q1 = 0 go to the chain.  A complex pair leaves both roots nan and qq = 0 one root inf or nan;
+    # _polish_rows keeps them, np.sort puts nan last, and positivity or the repeat test refuses.
     q0 = -c0 / x1
     bad |= ~(x1 * x1 * abs(c3) >= abs(q0))
     q1 = (q0 - c1) / x1
     disc2 = q1 * q1 - 4.0 * c3 * q0
-    bad |= (q1 == 0.0) | ~(disc2 >= 0.0)
+    bad |= q1 == 0.0
     qq = -0.5 * (q1 + np.copysign(np.sqrt(disc2), q1))
     col = (c3, c2[:, None], c1[:, None], c0[:, None])
     pair = _polish_rows(col, np.column_stack((qq / c3, q0 / qq)))
@@ -174,7 +174,7 @@ def _polish_rows(c, x):
         fp = (d2 * x + d1) * x + c1
         xn = x - f / fp
         fn = ((c3 * xn + c2) * xn + c1) * xn + c0
-        go &= (fp != 0.0) & np.isfinite(xn) & (abs(fn) < abs(f))
+        go &= abs(fn) < abs(f)
         if not go.any():
             break
         x, f = np.where(go, xn, x), np.where(go, fn, f)
@@ -195,7 +195,7 @@ def _mode_rows(alpha, m, kappa_m: float, kappa_f: float, kappa_v: float):
             break
         fp = kappa_m * a00 + kappa_f * a11 + kappa_v * a22
         xn = x - (d0 * a00 + m2 * a01 + m3 * a02) / fp
-        go &= (fp != 0.0) & (xn > 0.0) & np.isfinite(xn)
+        go &= (xn > 0.0) & np.isfinite(xn)
         converged = abs(xn - x) <= 4e-16 * abs(x)
         x = np.where(go, xn, x)
         go &= ~converged

@@ -29,7 +29,7 @@ class RootClassificationError(Exception):
 
 
 def _polish(c: tuple[float, float, float, float], x: float) -> float:
-    """Safeguarded Newton on the original cubic; never worsens |f|."""
+    """Safeguarded Newton on the original cubic: never worsens |f| or takes a non-finite step."""
     c3, c2, c1, c0 = c
     d2, d1 = 3.0 * c3, 2.0 * c2  # f'(x) = (d2 x + d1) x + c1
     f = ((c3 * x + c2) * x + c1) * x + c0
@@ -38,8 +38,6 @@ def _polish(c: tuple[float, float, float, float], x: float) -> float:
         if fp == 0.0:
             break
         xn = x - f / fp
-        if not math.isfinite(xn):
-            break
         fn = ((c3 * xn + c2) * xn + c1) * xn + c0
         if abs(fn) < abs(f):
             x, f = xn, fn

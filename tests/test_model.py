@@ -872,6 +872,7 @@ def test_laplace_rows_off_the_main_path_go_back_to_the_per_u_chain(p, us, sent_b
 
 
 # Each refusal of the Laplace chain that an admissible input reaches, and its message's start.
+# The rows from "non-positive-root" on reach the batch's own test of that refusal.
 CUBIC = "characteristic equation cannot be solved: "
 REFUSALS = {
     "cubic-2pm-underflows": (dict(
@@ -912,6 +913,24 @@ REFUSALS = {
         omega_f=0.5, omega_v=0.5, kappa_f=0.3, kappa_v=0.3, lambda_mf=1.0, lambda_mv=1.0,
         lambda_fv=1.0), 1e27, "characteristic equation has nearly repeated roots"),
     "cubic-non-finite": (REF_KWARGS, 1e200, CUBIC + "cubic coefficients must be finite"),
+    "non-positive-root": (dict(
+        omega_f=0.0058418146505617935, omega_v=1.983454810748783e-08,
+        kappa_f=0.012872792765240603, kappa_v=0.0001041208710512844,
+        lambda_mf=1.4526517130804105e-05, lambda_mv=0.01367393497032735,
+        lambda_fv=6.987377461505899e-12, beta_m=0.5168171958795581, beta_f=0.8696750699180085,
+        beta_v=0.8776068820122374), 2.6919669439734227e-179,
+        "characteristic equation has non-positive roots [-0.0]"),
+    "nearly-repeated-roots": (dict(
+        omega_f=1 / 3, omega_v=1 / 3, kappa_f=1 / 3, kappa_v=1 / 3, lambda_mf=1e-3,
+        lambda_mv=1e-3, lambda_fv=1e-3), 0.0005011872336272725,
+        "characteristic equation has nearly repeated roots"),
+    "rank-below-2-fractional": (dict(
+        REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, beta_m=0.6, beta_f=0.6, beta_v=0.6),
+        3.162277660168379e-35, "modal matrix has rank < 2"),
+    "triple-equality-fractional": (dict(
+        omega_f=0.25, omega_v=0.5, kappa_f=0.25, kappa_v=0.5, lambda_mf=1e-116, lambda_mv=3e-116,
+        lambda_fv=2e-116, beta_m=0.9, beta_f=0.9, beta_v=0.9), 1e-111,
+        "wellbore pressure triple equality violated"),
 }
 
 

@@ -2,8 +2,10 @@
 
 omega and lambda are drawn from {0} and log-uniformly from [1e-12, 1]; kappa
 log-uniformly from [1e-12, 1] (the model refuses kappa = 0); beta from
-(0, 1]; and u log-uniformly from [1e-12, 1e300].  Every evaluation either
-gives a finite, non-negative p_bar_w or a named model error that carries u.
+(0, 1]; and u log-uniformly from [1e-12, 1e300], or from [1e-300, 1e300]
+where the laplace batch is checked against the per-u chain, since most of
+its send-backs act at the extremes.  Every evaluation either gives a finite,
+non-negative p_bar_w or a named model error that carries u.
 The first test also draws fracture and vugs tied: omega_v/kappa_v =
 omega_f/kappa_f with kappa_v = 2^k kappa_f (|k| <= 12), and beta_v = beta_f.
 A last test checks that the test configuration reports a failing property
@@ -66,7 +68,7 @@ def test_wellbore_pressure_is_finite_or_a_named_error_with_u(kwargs, u):
        lambda_mf=zero_or_log_unit, lambda_mv=zero_or_log_unit,
        lambda_fv=zero_or_log_unit,
        beta_m=beta, beta_f=beta, beta_v=beta,
-       us=st.lists(st.floats(-10.0, 6.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6))
+       us=st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6))
 @example(**dict(REF_KWARGS, lambda_mf=0.0, lambda_mv=0.0, lambda_fv=0.0),
          beta_m=1.0, beta_f=1.0, beta_v=1.0, us=[0.1, 1.0])
 def test_laplace_rows_equal_the_per_u_rows_or_raise_their_error(tmp_path_factory, us, **kwargs):

@@ -3,7 +3,10 @@ and refusals that no admissible input is known to reach, forced.  Only this
 module and test_roots.py name the stages; ROADMAP items 2 and 3 delete them
 and both modules."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,3 +117,35 @@ def test_forced_singular_boundary_names_the_evaluation_once(tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("model error: boundary system singular")
     assert err.count("(u=1.0, params=") == 1
+
+
+STAGE_NAMES = {"m_terms", "characteristic_coefficients", "solve_cubic_real", "_mode",
+               "_mode_rows", "boundary_vectors", "solve_boundary", "_unscale_weight",
+               "RootClassificationError", "RANK_TOL", "SINGULAR_TOL", "REPEAT_TOL",
+               "RESIDUAL_TOL"}
+
+
+def test_stage_names_only_in_the_stage_test_modules():
+    # The other tests check the chain through its public outputs: no import,
+    # reference or monkeypatch string such as "triporo.model.SINGULAR_TOL"
+    # names a stage there, so that ROADMAP items 2 and 3 can delete the stages
+    # with this module and test_roots.py.
+    found = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        if path.name in ("test_roots.py", "test_stages.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = re.fullmatch(r"(?:triporo(?:\.\w+)*\.)?(\w+)", node.value)
+                name = name and name.group(1)
+            else:
+                continue
+            if name in STAGE_NAMES:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
